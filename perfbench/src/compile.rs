@@ -11,13 +11,12 @@ use hexcute_parallel::cache::CacheStats;
 
 use crate::draws::{Arch, Draw, DrawStream, Family, STRATA};
 use crate::report::{
-    geomean, json_string, median, peak_rss_mb, quantile, ratio, windowed, windowed_rate, Metrics,
-    Outcome,
+    geomean, json_string, peak_rss_mb, quantile, ratio, windowed, windowed_rate, Metrics, Outcome,
 };
 use crate::staged::{
     same_bits, set_stage_metrics, traced_compile, TraceError, TracedCompile, COVERAGE_TOLERANCE,
 };
-use crate::{numerics, Params, SETUP_REPS};
+use crate::{numerics, Params};
 
 /// Draws whose chosen kernels make up `kernel_us.geomean`: the first this
 /// many of the seeded sequence, so the value depends on the seed only (an
@@ -133,8 +132,8 @@ fn fresh_draw(stream: &mut DrawStream, compilers: &Compilers, seen: &mut HashSet
     }
 }
 
-/// One set-up: fresh compilers, the seeded draw stream, and one warm-up
-/// compile per cell (programs the timed loop then never draws).
+/// The set-up: compilers, the seeded draw stream, and one warm-up compile
+/// per cell (programs the timed loop then never draws).
 fn set_up(
     workload: &str,
     seed: u64,
@@ -154,17 +153,16 @@ fn set_up(
     Ok((compilers, stream, warm_keys))
 }
 
+/// Runs the set-up alone; its time from process start.
+pub fn set_up_only(workload: &str, p: &Params) -> Result<f64, String> {
+    let _state = set_up(workload, p.seed, &mut HashSet::new())?;
+    Ok(p.process_start.elapsed().as_secs_f64())
+}
+
 pub fn run(workload: &str, p: &Params) -> Result<Outcome, String> {
     let mut seen = HashSet::new();
-    let mut setup_times = Vec::new();
-    let mut state = None;
-    let mut setup_start = p.process_start;
-    for _ in 0..SETUP_REPS {
-        state = Some(set_up(workload, p.seed, &mut seen)?);
-        setup_times.push(setup_start.elapsed().as_secs_f64());
-        setup_start = Instant::now();
-    }
-    let (compilers, mut stream, warm_keys) = state.expect("at least one set-up ran");
+    let (compilers, mut stream, warm_keys) = set_up(workload, p.seed, &mut seen)?;
+    let own_setup = p.process_start.elapsed().as_secs_f64();
 
     let quality_draws = match (p.toy, p.trace) {
         (_, true) => 0,
@@ -224,6 +222,11 @@ pub fn run(workload: &str, p: &Params) -> Result<Outcome, String> {
     // Output checks, outside the timed window.
     recheck(&records)?;
     numerics::probe(p.seed)?;
+    let setup_s = if p.trace {
+        own_setup
+    } else {
+        crate::setup_s(p, own_setup)?
+    };
 
     let ok: Vec<&Record> = records.iter().filter(|r| r.kernel_us.is_some()).collect();
     let latencies_ms: Vec<f64> = ok.iter().map(|r| r.latency * 1e3).collect();
@@ -236,7 +239,7 @@ pub fn run(workload: &str, p: &Params) -> Result<Outcome, String> {
     print_inputs(workload, &records, &warm_keys, quality_draws);
 
     let mut m = Metrics::default();
-    m.set("setup_s", median(&setup_times));
+    m.set("setup_s", setup_s);
     m.set("compile_ms.p50", p50);
     m.set(
         "compile_ms.p90",

@@ -124,11 +124,43 @@ pub struct Draw {
     pub program: Program,
 }
 
+/// Visits the entries of a template in rounds, each round in a fresh seeded
+/// order, so every entry gets the same share of visits whatever the seed.
+#[derive(Debug, Clone)]
+pub struct Rounds {
+    template: Vec<usize>,
+    /// The current round, consumed from the back.
+    round: Vec<usize>,
+}
+
+impl Rounds {
+    pub fn new(template: Vec<usize>) -> Self {
+        assert!(!template.is_empty(), "a round needs at least one entry");
+        Rounds {
+            template,
+            round: Vec::new(),
+        }
+    }
+
+    /// Visits in one round (the template's length).
+    pub fn per_round(&self) -> usize {
+        self.template.len()
+    }
+
+    pub fn next(&mut self, rng: &mut Rng) -> usize {
+        if self.round.is_empty() {
+            self.round = self.template.clone();
+            rng.shuffle(&mut self.round);
+        }
+        self.round.pop().expect("a round is never empty")
+    }
+}
+
 /// Latin-hypercube uniforms: each dimension is cut into [`STRATA`] equal
 /// slices, and every block of [`STRATA`] draws visits each slice of each
 /// dimension once, in a seeded order.
 #[derive(Debug, Clone)]
-pub struct Strata {
+struct Strata {
     dims: usize,
     /// Per-dimension slice order for the current block of draws.
     perms: Vec<Vec<usize>>,
@@ -136,7 +168,7 @@ pub struct Strata {
 }
 
 impl Strata {
-    pub fn new(dims: usize) -> Self {
+    fn new(dims: usize) -> Self {
         Strata {
             dims,
             perms: Vec::new(),
@@ -144,7 +176,7 @@ impl Strata {
         }
     }
 
-    pub fn next(&mut self, rng: &mut Rng) -> Vec<f64> {
+    fn next(&mut self, rng: &mut Rng) -> Vec<f64> {
         let j = self.drawn % STRATA;
         if j == 0 {
             self.perms = (0..self.dims)
@@ -410,7 +442,15 @@ fn cells(workload: &str) -> Vec<(Family, Arch)> {
             (GroupedGemm, A100),
             (GroupedGemm, H100),
         ],
+        // Attention forward takes two thirds of the draws. With half, the
+        // median compile sat on the edge between the forward cluster (median
+        // ~20-27 ms) and the decoding and scan clusters (~3-10 ms), and
+        // jumped between them from run to run.
         "compile-fused" => vec![
+            (AttentionForward, A100),
+            (AttentionForward, H100),
+            (AttentionForward, A100),
+            (AttentionForward, H100),
             (AttentionForward, A100),
             (AttentionForward, H100),
             (AttentionForward, A100),
@@ -429,10 +469,8 @@ fn cells(workload: &str) -> Vec<(Family, Arch)> {
 pub struct DrawStream {
     rng: Rng,
     cells: Vec<Cell>,
-    /// Cell indices of one round, in workload order.
-    template: Vec<usize>,
-    /// Cell indices of the current round, consumed from the back.
-    round: Vec<usize>,
+    /// Rounds over the workload's cell list (indices into `cells`).
+    rounds: Rounds,
 }
 
 impl DrawStream {
@@ -457,14 +495,13 @@ impl DrawStream {
         DrawStream {
             rng: Rng::new(seed),
             cells: unique,
-            template,
-            round: Vec::new(),
+            rounds: Rounds::new(template),
         }
     }
 
-    /// Draws in one round (the round template's length).
+    /// Draws in one round (the workload's cell count).
     pub fn round_len(&self) -> usize {
-        self.template.len()
+        self.rounds.per_round()
     }
 
     /// One fixed, mid-range program per distinct cell, for warm-up.
@@ -476,11 +513,7 @@ impl DrawStream {
     }
 
     pub fn next_draw(&mut self) -> Draw {
-        if self.round.is_empty() {
-            self.round = self.template.clone();
-            self.rng.shuffle(&mut self.round);
-        }
-        let index = self.round.pop().expect("a round is never empty");
+        let index = self.rounds.next(&mut self.rng);
         let cell = &mut self.cells[index];
         let u = cell.uniforms(&mut self.rng);
         build(cell.family, cell.arch, u)

@@ -5,6 +5,10 @@
 //! perfbench --self-test
 //! ```
 //!
+//! `--setup-only` (with the workload arguments) runs the workload's set-up
+//! alone and prints its time from process start; an untraced run starts
+//! such child processes to time cold set-ups.
+//!
 //! Workloads: `compile-matmul`, `compile-fused` (closed loops of cold
 //! compiles) and `serve-decode` (an open loop against the compile
 //! service). `--trace 0` prints the end-to-end metrics; `--trace 1` repeats
@@ -25,8 +29,10 @@ use std::time::Instant;
 
 use report::{json_string, Outcome};
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
+/// Set-ups whose median is `setup_s`: the run's own, then the others in
+/// child processes started with `--setup-only`, so that each one is a cold
+/// start timed from process start.
+pub const SETUP_REPS: usize = 5;
 
 pub const WORKLOADS: &[&str] = &["compile-matmul", "compile-fused", "serve-decode"];
 
@@ -39,6 +45,8 @@ pub struct Params {
     pub trace: bool,
     /// Tiny request counts, for the self-test.
     pub toy: bool,
+    /// Run the set-up only and print its time.
+    pub setup_only: bool,
     pub process_start: Instant,
 }
 
@@ -52,6 +60,7 @@ fn parse_args(args: &[String], process_start: Instant) -> Result<Params, String>
     let mut seconds = None;
     let mut trace = None;
     let mut toy = false;
+    let mut setup_only = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -72,8 +81,8 @@ fn parse_args(args: &[String], process_start: Instant) -> Result<Params, String>
                 let s = value()?
                     .parse::<f64>()
                     .map_err(|e| format!("--seconds: {e}"))?;
-                if !(s > 0.0 && s <= 600.0) {
-                    return Err("--seconds must be in (0, 600]".into());
+                if !(s > 0.0 && s <= 120.0) {
+                    return Err("--seconds must be in (0, 120]".into());
                 }
                 seconds = Some(s);
             }
@@ -85,6 +94,7 @@ fn parse_args(args: &[String], process_start: Instant) -> Result<Params, String>
                 })
             }
             "--toy" => toy = true,
+            "--setup-only" => setup_only = true,
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -100,8 +110,49 @@ fn parse_args(args: &[String], process_start: Instant) -> Result<Params, String>
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.ok_or("--trace is required")?,
         toy,
+        setup_only,
         process_start,
     })
+}
+
+/// Runs the workload's set-up alone; its time from process start.
+fn set_up_only(p: &Params) -> Result<f64, String> {
+    match p.workload.as_str() {
+        "serve-decode" => serve::set_up_only(p),
+        w => compile::set_up_only(w, p),
+    }
+}
+
+/// `setup_s`: the median of `own`, this run's set-up time, and the set-up
+/// times of `SETUP_REPS - 1` child processes that run the set-up alone.
+pub fn setup_s(p: &Params, own: f64) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let mut times = vec![own];
+    for _ in 1..SETUP_REPS {
+        let output = std::process::Command::new(&exe)
+            .args(["--workload", &p.workload, "--seed", &p.seed.to_string()])
+            .args(["--seconds", &p.seconds.to_string(), "--trace", "0"])
+            .args(p.toy.then_some("--toy"))
+            .arg("--setup-only")
+            .output()
+            .map_err(|e| format!("set-up child: spawn failed: {e}"))?;
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let time = stdout
+            .lines()
+            .find_map(|line| line.strip_prefix("# setup_s "))
+            .and_then(|v| v.parse::<f64>().ok());
+        match time {
+            Some(t) if output.status.success() => times.push(t),
+            _ => {
+                return Err(format!(
+                    "set-up child exited with {}\n{}",
+                    output.status,
+                    String::from_utf8_lossy(&output.stderr)
+                ))
+            }
+        }
+    }
+    Ok(report::median(&times))
 }
 
 /// Every `HEXCUTE_*` variable that is set. Refuses fault specs, execution
@@ -291,6 +342,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if params.setup_only {
+        return match set_up_only(&params) {
+            Ok(secs) => {
+                println!("# setup_s {secs}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("perfbench: set-up failed: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     match run(&params, &env) {
         Ok(outcome) => {
             println!("{}", outcome.to_json_line(params.trace));

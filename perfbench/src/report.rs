@@ -188,32 +188,37 @@ pub fn geomean(samples: &[f64]) -> f64 {
 
 /// Consecutive equal sub-windows a timed run is split into for
 /// [`windowed`] statistics.
-pub const WINDOWS: usize = 5;
+pub const WINDOWS: usize = 10;
 
-/// The median, over the non-empty ones of [`WINDOWS`] consecutive equal
-/// sub-windows of `[0, span)`, of `stat` applied to the values whose time
-/// falls in each sub-window. On a shared host whose speed drifts over tens of seconds,
-/// this keeps a slowdown confined to one or two sub-windows from moving the
-/// figure.
-pub fn windowed(samples: &[(f64, f64)], span: f64, stat: impl Fn(&[f64]) -> f64) -> f64 {
+/// `stat` of the values whose time falls in each of [`WINDOWS`] consecutive
+/// equal sub-windows of `[0, span)`, for the non-empty ones.
+fn per_window(samples: &[(f64, f64)], span: f64, stat: impl Fn(&[f64]) -> f64) -> Vec<f64> {
     let mut buckets = vec![Vec::new(); WINDOWS];
     for &(t, v) in samples {
         let i = (t / span * WINDOWS as f64).max(0.0) as usize;
         buckets[i.min(WINDOWS - 1)].push(v);
     }
-    let per_window: Vec<f64> = buckets
+    buckets
         .iter()
         .filter(|b| !b.is_empty())
         .map(|b| stat(b))
-        .collect();
-    median(&per_window)
+        .collect()
 }
 
-/// Events per second in each [`windowed`] sub-window, from the events'
-/// times.
+/// The lower quartile over the [`WINDOWS`] sub-windows of a run of `stat`
+/// per sub-window. Other work on a shared host only ever slows a sub-window
+/// down, so this follows the program's own speed even when slowdowns cover
+/// most of the run.
+pub fn windowed(samples: &[(f64, f64)], span: f64, stat: impl Fn(&[f64]) -> f64) -> f64 {
+    quantile(&per_window(samples, span, stat), 0.25)
+}
+
+/// Events per second: the upper quartile over the [`WINDOWS`] sub-windows
+/// of a run of the per-window rate, from the events' times.
 pub fn windowed_rate(times: &[f64], span: f64) -> f64 {
     let ones: Vec<(f64, f64)> = times.iter().map(|&t| (t, 1.0)).collect();
-    windowed(&ones, span, |b| b.len() as f64 / (span / WINDOWS as f64))
+    let rates = per_window(&ones, span, |b| b.len() as f64 / (span / WINDOWS as f64));
+    quantile(&rates, 0.75)
 }
 
 /// `num / den`, or 0 when nothing was counted.
@@ -255,17 +260,23 @@ mod tests {
     }
 
     #[test]
-    fn windowed_statistics_ignore_one_slow_window() {
-        // Five 1-second windows; the third is ten times slower.
-        let samples: Vec<(f64, f64)> = (0..50)
+    fn windowed_statistics_ignore_slow_windows() {
+        // Ten 1-second windows; the third to the ninth are ten times slower.
+        let samples: Vec<(f64, f64)> = (0..100)
             .map(|i| {
                 let t = f64::from(i) / 10.0;
-                (t, if (2.0..3.0).contains(&t) { 10.0 } else { 1.0 })
+                (t, if (2.0..9.0).contains(&t) { 10.0 } else { 1.0 })
             })
             .collect();
-        assert_eq!(windowed(&samples, 5.0, median), 1.0);
-        let times: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        assert_eq!(windowed_rate(&times, 5.0), 10.0);
+        assert_eq!(windowed(&samples, 10.0, median), 1.0);
+        // The same windows complete half as many events.
+        let times: Vec<f64> = (0..10)
+            .flat_map(|k| {
+                let n = if (2..9).contains(&k) { 5 } else { 10 };
+                (0..n).map(move |j| f64::from(k) + f64::from(j) / f64::from(n))
+            })
+            .collect();
+        assert_eq!(windowed_rate(&times, 10.0), 10.0);
     }
 
     #[test]

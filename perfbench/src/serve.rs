@@ -1,6 +1,7 @@
 //! The `serve-decode` workload: an open loop of `CompileService::compile_as`
 //! requests for decode-step programs at a fixed rate, over a disk-backed
-//! artifact cache whose memory tier is smaller than the hot set.
+//! artifact cache whose memory tier holds a small part of what its disk
+//! holds.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -15,12 +16,12 @@ use hexcute_e2e::{
 use hexcute_ir::Program;
 
 use crate::compile::LayerCounters;
-use crate::draws::{Arch, Rng, Strata};
+use crate::draws::{Arch, Rng, Rounds};
 use crate::report::{
-    geomean, json_string, median, peak_rss_mb, quantile, ratio, windowed, Metrics, Outcome,
+    geomean, json_string, peak_rss_mb, quantile, ratio, windowed, Metrics, Outcome,
 };
 use crate::staged::{same_bits, set_stage_metrics, traced_compile, TraceError, COVERAGE_TOLERANCE};
-use crate::{Params, SETUP_REPS};
+use crate::Params;
 
 /// Offered load, requests per second.
 const RATE: f64 = 1000.0;
@@ -29,16 +30,48 @@ const CLIENTS: usize = 2;
 const TENANTS: u32 = 8;
 /// Share of decode steps sent as `Priority::Background`.
 const BACKGROUND_SHARE: f64 = 0.10;
-/// One decode step in this many brings a program never requested before.
-const NEW_EVERY: usize = 33;
-/// Zipf-popular decode steps per model (fewer where a model has fewer
-/// distinct steps); their programs form the working set and fill the disk.
-const HOT_STEPS: usize = 24;
-/// Memory-tier capacity, below the hot set's program count.
+
+/// Batch sizes a decode step is padded to: vLLM's default CUDA-graph
+/// capture sizes, 1, 2, 4 and every multiple of 8 up to 256
+/// (`_BATCH_SIZES_TO_CAPTURE` in vLLM's GPU model runner).
+fn batch_buckets() -> Vec<usize> {
+    [1, 2, 4].into_iter().chain((8..=256).step_by(8)).collect()
+}
+
+/// Batch sizes above the largest capture size run unpadded, at their exact
+/// size. An uncaptured step takes a size from this range that the run has
+/// not sent for its model before, so its programs are new. Assumed: a
+/// server admitting up to 1024 sequences at once.
+const UNCAPTURED: std::ops::RangeInclusive<usize> = 257..=1024;
+
+/// Equal slices of [`UNCAPTURED`] that uncaptured sizes are stratified over.
+const UNCAPTURED_SLICES: usize = 8;
+
+/// Context-length buckets, equally likely. Only the hybrid model's
+/// selective scan depends on the sequence length. Assumed, not taken from
+/// a source.
+const SEQ_BUCKETS: [usize; 4] = [1024, 2048, 4096, 8192];
+
+/// One decode step in this many has an uncaptured batch size: the few
+/// percent of never-seen keys the workload calls for. Assumed, not
+/// measured.
+const UNCAPTURED_EVERY: usize = 32;
+
+/// Zipf exponent of batch-size popularity: the classic exponent 1,
+/// assumed, not measured.
+const ZIPF_S: f64 = 1.0;
+
+/// Seed of the fixed shuffle that ranks each model's capture sizes by
+/// popularity. Which sizes are popular is not known, so the order is
+/// arbitrary, but it is the same in every run.
+const POPULARITY_ORDER_SEED: u64 = 0x706f_7075_6c61_7220;
+
+/// Memory-tier capacity in artifacts, about a fourteenth of the ~230
+/// programs of the captured steps that fill the disk tier. With 32, about
+/// 40% of requests hit memory and `serve_ms.p50` sat on the edge between
+/// memory and disk hits; with 16 about 30% do, so the median request is a
+/// disk hit, the path artifact decoding is on.
 const MEMORY_CAPACITY: usize = 16;
-/// Zipf exponent of hot-set popularity: flat enough that most hits come
-/// from the disk tier, so `serve_ms.p50` is a disk hit.
-const ZIPF_S: f64 = 0.6;
 
 /// Directory for this process's cache directories, inside the working
 /// directory; removed when the run ends.
@@ -82,8 +115,8 @@ struct Request {
 struct Plan {
     programs: Vec<Program>,
     fingerprints: Vec<u64>,
-    /// Program indices of the hot set (the disk fill).
-    hot: Vec<usize>,
+    /// Program indices of the captured steps (the disk fill).
+    captured: Vec<usize>,
     requests: Vec<Request>,
     model_names: Vec<String>,
 }
@@ -92,8 +125,6 @@ struct Plan {
 struct KeySpace<'a> {
     compiler: &'a Compiler,
     models: Vec<ModelConfig>,
-    /// One Latin-hypercube sampler of (batch, sequence length) per model.
-    strata: Vec<Strata>,
     programs: Vec<Program>,
     fingerprints: Vec<u64>,
     by_fingerprint: HashMap<u64, usize>,
@@ -114,44 +145,6 @@ impl KeySpace<'_> {
             })
             .collect()
     }
-
-    /// A stratified random decode step of `model` that `accept` takes:
-    /// batch log-uniform in 1..=1024, sequence length log-uniform in
-    /// 128..=8192 (multiples of 64). `None` after 32 rejected draws.
-    fn draw_step(
-        &mut self,
-        model: usize,
-        rng: &mut Rng,
-        accept: impl Fn(&[usize]) -> bool,
-    ) -> Option<Vec<usize>> {
-        for _ in 0..32 {
-            let u = self.strata[model].next(rng);
-            let batch = (1024f64.powf(u[0]) as usize).max(1);
-            let seq = ((128.0 * 64f64.powf(u[1])) as usize / 64 * 64).max(64);
-            let step = self.step(model, batch, seq);
-            if accept(&step) {
-                return Some(step);
-            }
-        }
-        None
-    }
-}
-
-/// Visits `0..n` in rounds, each round in a fresh seeded order, so every
-/// model gets the same share of draws whatever the seed.
-struct Rounds {
-    n: usize,
-    round: Vec<usize>,
-}
-
-impl Rounds {
-    fn next(&mut self, rng: &mut Rng) -> usize {
-        if self.round.is_empty() {
-            self.round = (0..self.n).collect();
-            rng.shuffle(&mut self.round);
-        }
-        self.round.pop().expect("a round is never empty")
-    }
 }
 
 /// Cumulative Zipf(`ZIPF_S`) weights over `n` ranks.
@@ -169,7 +162,7 @@ fn zipf_cdf(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn plan(seed: u64, requests: usize, hot_steps: usize, compiler: &Compiler) -> Plan {
+fn plan(seed: u64, requests: usize, batches: &[usize], compiler: &Compiler) -> Plan {
     let mut rng = Rng::new(seed ^ 0x7365_7276_6520_6465);
     let models = models();
     let n_models = models.len();
@@ -177,75 +170,81 @@ fn plan(seed: u64, requests: usize, hot_steps: usize, compiler: &Compiler) -> Pl
     let mut keys = KeySpace {
         compiler,
         models,
-        strata: vec![Strata::new(2); n_models],
         programs: Vec::new(),
         fingerprints: Vec::new(),
         by_fingerprint: HashMap::new(),
     };
-    // The hot set: per model, up to `hot_steps` distinct decode steps in
-    // popularity order (a model may have fewer distinct steps).
-    let hot_lists: Vec<Vec<Vec<usize>>> = (0..n_models)
-        .map(|model| {
-            let mut list: Vec<Vec<usize>> = Vec::new();
-            while list.len() < hot_steps {
-                match keys.draw_step(model, &mut rng, |s| !list.iter().any(|h| h == s)) {
-                    Some(step) => list.push(step),
-                    None => break,
-                }
-            }
-            list
-        })
-        .collect();
-    let mut hot: Vec<usize> = hot_lists.iter().flatten().flatten().copied().collect();
-    hot.sort_unstable();
-    hot.dedup();
-    let mut seen: HashSet<usize> = hot.iter().copied().collect();
-    let cdfs: Vec<Vec<f64>> = hot_lists.iter().map(|l| zipf_cdf(l.len())).collect();
-
-    // Decode steps visit the models in rounds. Every NEW_EVERY-th step
-    // (from a seeded offset) brings at least one never-requested program;
-    // the rest follow the Zipf popularity of the model's hot steps.
-    let offset = rng.below(NEW_EVERY);
-    let mut rounds = Rounds {
-        n: n_models,
-        round: Vec::new(),
-    };
-    let mut schedule = Vec::with_capacity(requests + 2);
-    let mut step_no = 0usize;
-    let mut new_rounds = Rounds {
-        n: n_models,
-        round: Vec::new(),
-    };
-    while schedule.len() < requests {
-        let mut step = None;
-        if step_no % NEW_EVERY == offset {
-            // New steps come from the models that still have unseen keys.
-            for _ in 0..n_models {
-                let model = new_rounds.next(&mut rng);
-                if let Some(programs) =
-                    keys.draw_step(model, &mut rng, |s| s.iter().any(|p| !seen.contains(p)))
-                {
-                    step = Some((model, programs));
-                    break;
-                }
+    // Every captured step of every model; their programs fill the disk.
+    for model in 0..n_models {
+        for &batch in batches {
+            for seq in SEQ_BUCKETS {
+                keys.step(model, batch, seq);
             }
         }
-        step_no += 1;
-        let (model, programs) = step.unwrap_or_else(|| {
-            let model = rounds.next(&mut rng);
+    }
+    let captured: Vec<usize> = (0..keys.programs.len()).collect();
+    // Per model, the capture sizes in popularity order: a fixed shuffle,
+    // the same for every seed, so the seed varies the request stream but
+    // not which programs are hot.
+    let mut order_rng = Rng::new(POPULARITY_ORDER_SEED);
+    let popular: Vec<Vec<usize>> = (0..n_models)
+        .map(|_| {
+            let mut order = batches.to_vec();
+            order_rng.shuffle(&mut order);
+            order
+        })
+        .collect();
+    let cdf = zipf_cdf(batches.len());
+
+    // Decode steps visit the models in rounds, uncaptured steps in rounds of
+    // their own. Every UNCAPTURED_EVERY-th step (from a seeded offset) has
+    // an uncaptured batch size; the rest draw a capture size by Zipf
+    // popularity. A model's uncaptured sizes visit the UNCAPTURED_SLICES
+    // equal slices of the range in rounds, so their mix of small and large
+    // barely depends on the seed.
+    let offset = rng.below(UNCAPTURED_EVERY);
+    let mut rounds = Rounds::new((0..n_models).collect());
+    let mut uncaptured_rounds = Rounds::new((0..n_models).collect());
+    let mut slices: Vec<Rounds> = (0..n_models)
+        .map(|_| Rounds::new((0..UNCAPTURED_SLICES).collect()))
+        .collect();
+    let width = UNCAPTURED.clone().count() / UNCAPTURED_SLICES;
+    let mut uncaptured_sent: Vec<HashSet<usize>> = vec![HashSet::new(); n_models];
+    let mut schedule = Vec::with_capacity(requests + 2);
+    let mut step_no = 0usize;
+    while schedule.len() < requests {
+        let uncaptured = step_no % UNCAPTURED_EVERY == offset;
+        let model = if uncaptured {
+            uncaptured_rounds.next(&mut rng)
+        } else {
+            rounds.next(&mut rng)
+        };
+        let seq = SEQ_BUCKETS[rng.below(SEQ_BUCKETS.len())];
+        let batch = if uncaptured {
+            let lo = UNCAPTURED.start() + slices[model].next(&mut rng) * width;
+            let sent = &mut uncaptured_sent[model];
+            assert!(
+                sent.iter().filter(|b| (lo..lo + width).contains(b)).count() < width,
+                "the run is too long for the uncaptured batch sizes"
+            );
+            loop {
+                let batch = lo + rng.below(width);
+                if sent.insert(batch) {
+                    break batch;
+                }
+            }
+        } else {
             let u = rng.unit();
-            let cdf = &cdfs[model];
-            let rank = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
-            (model, hot_lists[model][rank].clone())
-        });
+            popular[model][cdf.partition_point(|&c| c < u).min(cdf.len() - 1)]
+        };
+        step_no += 1;
         let priority = if rng.unit() < BACKGROUND_SHARE {
             Priority::Background
         } else {
             Priority::LatencyCritical
         };
         let tenant = TenantId(rng.below(TENANTS as usize) as u32);
-        for program in programs {
-            seen.insert(program);
+        for program in keys.step(model, batch, seq) {
             schedule.push(Request {
                 program,
                 priority,
@@ -258,25 +257,26 @@ fn plan(seed: u64, requests: usize, hot_steps: usize, compiler: &Compiler) -> Pl
     Plan {
         programs: keys.programs,
         fingerprints: keys.fingerprints,
-        hot,
+        captured,
         requests: schedule,
         model_names,
     }
 }
 
-/// Compiles the hot set into a fresh cache directory on the worker pool.
+/// Compiles the captured steps' programs into a fresh cache directory on
+/// the worker pool.
 fn fill(plan: &Plan, dir: &Path) -> Result<(), String> {
     let cache = KernelCache::with_faults(
         KernelCacheConfig {
             dir: Some(dir.to_path_buf()),
-            memory_capacity: plan.hot.len().max(1),
+            memory_capacity: plan.captured.len().max(1),
             disk_capacity: 1 << 16,
             ..KernelCacheConfig::default()
         },
         None,
     );
     let compiler = Compiler::new(Arch::H100.gpu());
-    let results = hexcute_parallel::par_map(plan.hot.clone(), |i| -> Result<(), String> {
+    let results = hexcute_parallel::par_map(plan.captured.clone(), |i| -> Result<(), String> {
         let artifact = compiler
             .compile_artifact(&plan.programs[i])
             .map_err(|e| format!("disk fill compile failed: {e}"))?;
@@ -284,11 +284,11 @@ fn fill(plan: &Plan, dir: &Path) -> Result<(), String> {
         Ok(())
     });
     results.into_iter().collect::<Result<Vec<()>, String>>()?;
-    if cache.disk_entries() < plan.hot.len() {
+    if cache.disk_entries() < plan.captured.len() {
         return Err(format!(
             "disk fill stored {} of {} artifacts",
             cache.disk_entries(),
-            plan.hot.len()
+            plan.captured.len()
         ));
     }
     Ok(())
@@ -309,8 +309,9 @@ fn service(dir: &Path, memory_capacity: usize, seed: u64) -> CompileService {
             tenant_quota: 1,
             // Off: with speculative prefetch on, per-request latency is not
             // stationary. The Markov model predicts ever more successors as
-            // the run goes on, so a 30 s run's sub-window p50 rose from 0.08
-            // to 0.5 ms and runs of one seed differed by 3x.
+            // the run goes on (about 11 prefetch jobs per request after
+            // 10 s), so within a 30 s run the sub-window p50 rose up to 4x,
+            // by a different amount for each seed.
             prefetch: false,
             seed,
             faults: None,
@@ -484,39 +485,56 @@ fn references(
     .collect()
 }
 
-pub fn run(p: &Params) -> Result<Outcome, String> {
-    let (rate, hot_steps, memory_capacity) = if p.toy {
-        (100.0, 3, 4)
+/// Offered rate, capture sizes and memory-tier capacity: full scale, or
+/// toy scale for the self-test.
+fn scale(p: &Params) -> (f64, Vec<usize>, usize) {
+    if p.toy {
+        (100.0, batch_buckets().into_iter().step_by(12).collect(), 4)
     } else {
-        (RATE, HOT_STEPS, MEMORY_CAPACITY)
-    };
+        (RATE, batch_buckets(), MEMORY_CAPACITY)
+    }
+}
+
+/// What the set-up leaves for the timed window.
+struct Setup {
+    plan: Plan,
+    service: CompileService,
+    /// The cache directory; dropped after the service.
+    dir: TempDir,
+}
+
+/// The set-up: key space and schedule, disk fill, service.
+fn set_up(p: &Params, root: &Path) -> Result<Setup, String> {
+    let (rate, batches, memory_capacity) = scale(p);
     let requests = (rate * p.seconds).round().max(1.0) as usize;
+    let dir = root.join("cache");
+    let plan = plan(p.seed, requests, &batches, &Compiler::new(Arch::H100.gpu()));
+    fill(&plan, &dir)?;
+    Ok(Setup {
+        plan,
+        service: service(&dir, memory_capacity, p.seed),
+        dir: TempDir(dir),
+    })
+}
+
+/// Runs the set-up alone; its time from process start.
+pub fn set_up_only(p: &Params) -> Result<f64, String> {
     let root = scratch_root();
     let _cleanup = TempDir(root.clone());
+    let _setup = set_up(p, &root)?;
+    Ok(p.process_start.elapsed().as_secs_f64())
+}
 
-    // Set-up: key space and schedule, disk fill, service. Repeated; the
-    // last one serves the timed window.
-    let mut setup_times = Vec::new();
-    let mut setup_start = p.process_start;
-    let mut state = None;
-    for rep in 0..SETUP_REPS {
-        // The previous set-up's service and directory go first.
-        drop(state.take());
-        let dir = root.join(format!("cache-{rep}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plan = plan(
-            p.seed,
-            requests,
-            hot_steps,
-            &Compiler::new(Arch::H100.gpu()),
-        );
-        fill(&plan, &dir)?;
-        let svc = service(&dir, memory_capacity, p.seed);
-        setup_times.push(setup_start.elapsed().as_secs_f64());
-        state = Some((plan, svc, TempDir(dir)));
-        setup_start = Instant::now();
-    }
-    let (plan, svc, _dir) = state.expect("at least one set-up ran");
+pub fn run(p: &Params) -> Result<Outcome, String> {
+    let (rate, _, memory_capacity) = scale(p);
+    let root = scratch_root();
+    let _cleanup = TempDir(root.clone());
+    let Setup {
+        plan,
+        service: svc,
+        dir: _dir,
+    } = set_up(p, &root)?;
+    let own_setup = p.process_start.elapsed().as_secs_f64();
 
     let before = LayerCounters::now();
     let driven = drive(&svc, &plan, rate);
@@ -562,6 +580,11 @@ pub fn run(p: &Params) -> Result<Outcome, String> {
         ));
     }
     crate::numerics::probe(p.seed)?;
+    let setup_s = if p.trace {
+        own_setup
+    } else {
+        crate::setup_s(p, own_setup)?
+    };
 
     let from = |what: ServedFrom| -> Vec<&Record> {
         served
@@ -588,9 +611,9 @@ pub fn run(p: &Params) -> Result<Outcome, String> {
         .map(|i| reference[i].latency_us())
         .collect();
 
-    m.set("setup_s", median(&setup_times));
-    // Misses are ~3% of requests: the p90 takes the whole run, so that ten
-    // samples lie beyond it.
+    m.set("setup_s", setup_s);
+    // Misses are a few percent of requests: the p90 takes the whole run, so
+    // that ten samples lie beyond it.
     m.set(
         "compile_ms.p50",
         windowed(&timed(&synthesized, |r| r.done - r.sent), span, |v| {
@@ -651,14 +674,18 @@ pub fn run(p: &Params) -> Result<Outcome, String> {
 }
 
 /// Writes the input properties of the run: request mix by model, distinct
-/// fingerprints, working set against the memory tier, the offered rate,
-/// and where requests were served from (the miss share is the
-/// synthesized plus coalesced share).
+/// fingerprints, the working set (captured programs requested) against the
+/// memory tier, the offered rate, and where requests were served from (the
+/// miss share is the synthesized plus coalesced share).
 fn print_inputs(plan: &Plan, records: &[Record], memory_capacity: usize, rate: f64, window: f64) {
     let mut mix: BTreeMap<&str, usize> = BTreeMap::new();
     let mut sources: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct = HashSet::new();
+    let mut working = HashSet::new();
     for r in records {
+        if r.request.program < plan.captured.len() {
+            working.insert(r.request.program);
+        }
         *mix.entry(plan.model_names[r.request.model].as_str())
             .or_default() += 1;
         let source = r.served.map_or("failed".to_string(), |s| s.to_string());
@@ -684,13 +711,13 @@ fn print_inputs(plan: &Plan, records: &[Record], memory_capacity: usize, rate: f
         "# inputs {{\"workload\": \"serve-decode\", \"loop\": \"open, {CLIENTS} client threads\", \
          \"offered_rate\": {rate}, \"achieved_rate\": {}, \"requests\": {}, \
          \"distinct_fingerprints\": {}, \"working_set\": {}, \"memory_capacity\": {memory_capacity}, \
-         \"disk_fill\": {}, \"new_step_every\": {NEW_EVERY}, \"miss_share\": {}, \
+         \"disk_fill\": {}, \"uncaptured_step_every\": {UNCAPTURED_EVERY}, \"miss_share\": {}, \
          \"served_from\": {{{sources}}}, \"model_mix\": {{{mix}}}}}",
         ratio(n, window),
         records.len(),
         distinct.len(),
-        plan.hot.len(),
-        plan.hot.len(),
+        working.len(),
+        plan.captured.len(),
         ratio(miss as f64, n),
     );
 }
