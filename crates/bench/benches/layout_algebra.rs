@@ -1,15 +1,10 @@
 //! Criterion micro-benchmarks of the layout algebra: the operations at the
 //! heart of constraint construction and solving (composition, inversion,
-//! complement) and the swizzle evaluation used by the bank-conflict pass.
-//!
-//! Every algebra operation is measured twice: once through the recursive
-//! reference path (`…/reference`, the pre-fast-path behaviour) and once
-//! through the flat memoized fast path (`…/fast`, the default). See
-//! `hexcute_bench::fastpath` / `repro_fastpath` for the machine-readable
-//! before/after comparison.
+//! complement) and the swizzle evaluation used by the bank-conflict pass,
+//! all through the flat memoized algebra.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hexcute_layout::{ituple, set_fast_path, Layout, Swizzle, SwizzledLayout, TvLayout};
+use hexcute_layout::{ituple, Layout, Swizzle, SwizzledLayout, TvLayout};
 
 fn bench_layout_algebra(c: &mut Criterion) {
     let mma_a = Layout::new(ituple![(4, 8), (2, 2, 2)], ituple![(32, 1), (16, 8, 128)]).unwrap();
@@ -18,56 +13,52 @@ fn bench_layout_algebra(c: &mut Criterion) {
     let complement_arg = Layout::from_flat(&[8, 4], &[1, 32]);
     let coalesce_arg = Layout::from_flat(&[2, 4, 8, 2, 4], &[1, 2, 8, 64, 128]);
 
-    for (suffix, fast) in [("reference", false), ("fast", true)] {
-        set_fast_path(fast);
-        c.bench_function(&format!("layout/compose/{suffix}"), |b| {
-            b.iter(|| black_box(&tile).compose(black_box(&mma_a)).unwrap())
-        });
-        c.bench_function(&format!("layout/right_inverse/{suffix}"), |b| {
-            b.iter(|| black_box(&ldmatrix_q).right_inverse().unwrap())
-        });
-        c.bench_function(&format!("layout/complement/{suffix}"), |b| {
-            b.iter(|| {
-                black_box(&complement_arg)
-                    .complement(black_box(8192))
-                    .unwrap()
-            })
-        });
-        c.bench_function(&format!("layout/coalesce/{suffix}"), |b| {
-            b.iter(|| black_box(&coalesce_arg).coalesce())
-        });
-        c.bench_function(&format!("layout/map_sweep_1k/{suffix}"), |b| {
-            b.iter(|| {
-                (0..1024usize)
-                    .map(|i| mma_a.map(black_box(i)))
-                    .sum::<usize>()
-            })
-        });
-        c.bench_function(&format!("tv/expand_mma_atom_to_128x128/{suffix}"), |b| {
-            let atom = TvLayout::new(
-                Layout::from_flat(&[4, 8], &[32, 1]),
-                Layout::from_flat(&[2, 2], &[16, 8]),
-                vec![16, 8],
-            )
-            .unwrap();
-            b.iter(|| {
-                atom.expand(
-                    &[
-                        hexcute_layout::RepeatMode::along(2, 0),
-                        hexcute_layout::RepeatMode::along(2, 1),
-                    ],
-                    &[
-                        hexcute_layout::RepeatMode::along(4, 0),
-                        hexcute_layout::RepeatMode::along(8, 1),
-                    ],
-                )
+    c.bench_function("layout/compose", |b| {
+        b.iter(|| black_box(&tile).compose(black_box(&mma_a)).unwrap())
+    });
+    c.bench_function("layout/right_inverse", |b| {
+        b.iter(|| black_box(&ldmatrix_q).right_inverse().unwrap())
+    });
+    c.bench_function("layout/complement", |b| {
+        b.iter(|| {
+            black_box(&complement_arg)
+                .complement(black_box(8192))
                 .unwrap()
-            })
-        });
-    }
-    set_fast_path(true);
+        })
+    });
+    c.bench_function("layout/coalesce", |b| {
+        b.iter(|| black_box(&coalesce_arg).coalesce())
+    });
+    c.bench_function("layout/map_sweep_1k", |b| {
+        b.iter(|| {
+            (0..1024usize)
+                .map(|i| mma_a.map(black_box(i)))
+                .sum::<usize>()
+        })
+    });
+    c.bench_function("tv/expand_mma_atom_to_128x128", |b| {
+        let atom = TvLayout::new(
+            Layout::from_flat(&[4, 8], &[32, 1]),
+            Layout::from_flat(&[2, 2], &[16, 8]),
+            vec![16, 8],
+        )
+        .unwrap();
+        b.iter(|| {
+            atom.expand(
+                &[
+                    hexcute_layout::RepeatMode::along(2, 0),
+                    hexcute_layout::RepeatMode::along(2, 1),
+                ],
+                &[
+                    hexcute_layout::RepeatMode::along(4, 0),
+                    hexcute_layout::RepeatMode::along(8, 1),
+                ],
+            )
+            .unwrap()
+        })
+    });
 
-    // Swizzles do not go through the algebra cache; measured once.
+    // Swizzles do not go through the algebra cache.
     c.bench_function("layout/swizzle_apply_1k", |b| {
         let s = Swizzle::new(3, 3, 3);
         b.iter(|| (0..1024usize).map(|x| s.apply(black_box(x))).sum::<usize>())

@@ -1,8 +1,5 @@
-//! Criterion benchmarks of the functional and performance simulators.
-//!
-//! The functional simulator is measured through both the table-driven fast
-//! path (`…/fast`, the default) and the element-by-element reference path
-//! (`…/reference`); the two produce bit-identical buffers.
+//! Criterion benchmarks of the functional (table-driven) and performance
+//! simulators.
 
 use std::collections::HashMap;
 
@@ -11,7 +8,7 @@ use hexcute_arch::{DType, GpuArch};
 use hexcute_core::Compiler;
 use hexcute_ir::KernelBuilder;
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
-use hexcute_layout::{set_fast_path, Layout};
+use hexcute_layout::Layout;
 use hexcute_sim::{estimate_kernel, FunctionalSim};
 
 fn small_gemm_program() -> hexcute_ir::Program {
@@ -55,17 +52,13 @@ fn bench_simulation(c: &mut Criterion) {
     let program = small_gemm_program();
     let compiled = Compiler::new(arch.clone()).compile(&program).unwrap();
 
-    for (suffix, fast) in [("reference", false), ("fast", true)] {
-        set_fast_path(fast);
-        c.bench_function(&format!("sim/functional_gemm_64x64x64/{suffix}"), |b| {
-            let mut inputs = HashMap::new();
-            inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
-            inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
-            let sim = FunctionalSim::new(&compiled.program, &compiled.candidate);
-            b.iter(|| sim.run(black_box(&inputs)).unwrap())
-        });
-    }
-    set_fast_path(true);
+    c.bench_function("sim/functional_gemm_64x64x64", |b| {
+        let mut inputs = HashMap::new();
+        inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
+        inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
+        let sim = FunctionalSim::new(&compiled.program, &compiled.candidate);
+        b.iter(|| sim.run(black_box(&inputs)).unwrap())
+    });
 
     let big = fp16_gemm(GemmShape::new(8192, 8192, 8192), GemmConfig::default()).unwrap();
     let big_compiled = Compiler::new(arch.clone()).compile(&big).unwrap();

@@ -17,13 +17,6 @@ use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_synthesis::{SynthesisOptions, Synthesizer};
 
 fn print_prefix_stats() {
-    if !hexcute_synthesis::incremental_enabled() {
-        println!(
-            "\nPrefix-search stats skipped: the incremental search is disabled \
-             (HEXCUTE_DISABLE_INCREMENTAL)."
-        );
-        return;
-    }
     let arch = GpuArch::a100();
     let workers = *hexcute_bench::fastpath::scaling_worker_counts()
         .last()

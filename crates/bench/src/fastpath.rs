@@ -1,12 +1,12 @@
-//! Before/after measurements of the flat-layout fast path.
+//! Before/after measurements selected by per-call options, and the shared
+//! measurement helpers of the `repro_*` binaries.
 //!
-//! Every benchmark here runs twice in one process: once with the fast path
-//! disabled (`HEXCUTE_DISABLE_FAST_PATH`-equivalent — the recursive
-//! reference algebra, the element-by-element simulator and the serial
-//! candidate search, i.e. the pre-change behaviour) and once with it
-//! enabled (flat memoized algebra, table-driven simulation, parallel
-//! search). The results feed `BENCH_pr1.json` via [`write_json`] and the
-//! `repro_fastpath` binary.
+//! Each entry times a baseline and an improved configuration in one
+//! process: the re-evaluating search against the incremental one
+//! ([`synthesis_incremental_entries`], `repro_incremental`) and the serial
+//! walk against the parallel subtree walk ([`synthesis_parallel_entries`],
+//! `repro_parallel`). Both sides are chosen through
+//! [`SynthesisOptions`], never through process-wide state.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -17,7 +17,7 @@ use hexcute_ir::{KernelBuilder, Program};
 use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
-use hexcute_layout::{ituple, set_fast_path, Layout, RepeatMode, TvLayout};
+use hexcute_layout::Layout;
 use hexcute_sim::{FunctionalSim, SimTableCache};
 use hexcute_synthesis::{SynthesisOptions, Synthesizer};
 
@@ -26,14 +26,13 @@ use crate::report::Report;
 /// One before/after measurement.
 #[derive(Debug, Clone)]
 pub struct FastPathEntry {
-    /// Benchmark group (`layout_algebra`, `simulation`, `synthesis`).
+    /// Benchmark group (e.g. `synthesis_incremental`).
     pub group: String,
     /// Benchmark name within the group.
     pub name: String,
-    /// Median nanoseconds per iteration with the fast path disabled
-    /// (the pre-change reference behaviour).
+    /// Median nanoseconds per iteration of the baseline configuration.
     pub reference_ns: f64,
-    /// Median nanoseconds per iteration with the fast path enabled.
+    /// Median nanoseconds per iteration of the improved configuration.
     pub fast_ns: f64,
 }
 
@@ -75,84 +74,6 @@ pub fn measure_ns<F: FnMut()>(mut f: F, samples: usize, sample_ms: f64) -> f64 {
     medians[medians.len() / 2]
 }
 
-/// Measures `f` with the fast path disabled, then enabled.
-fn before_after<F: FnMut()>(group: &str, name: &str, mut f: F) -> FastPathEntry {
-    set_fast_path(false);
-    let reference_ns = measure_ns(&mut f, 5, 20.0);
-    set_fast_path(true);
-    let fast_ns = measure_ns(&mut f, 5, 20.0);
-    FastPathEntry {
-        group: group.to_string(),
-        name: name.to_string(),
-        reference_ns,
-        fast_ns,
-    }
-}
-
-/// The layout-algebra group: the operations at the heart of constraint
-/// construction and solving.
-pub fn layout_algebra_entries() -> Vec<FastPathEntry> {
-    let mma_a = Layout::new(ituple![(4, 8), (2, 2, 2)], ituple![(32, 1), (16, 8, 128)]).unwrap();
-    let ldmatrix_q = Layout::new(ituple![(4, 8), (2, 4)], ituple![(64, 1), (32, 8)]).unwrap();
-    let tile = Layout::column_major(&[128, 64]);
-    let complement_arg = Layout::from_flat(&[8, 4], &[1, 32]);
-    let coalesce_arg = Layout::from_flat(&[2, 4, 8, 2, 4], &[1, 2, 8, 64, 128]);
-    let divide_base = Layout::identity(4096);
-    let divide_tiler = Layout::from_mode(16, 8);
-    let atom = TvLayout::new(
-        Layout::from_flat(&[4, 8], &[32, 1]),
-        Layout::from_flat(&[2, 2], &[16, 8]),
-        vec![16, 8],
-    )
-    .unwrap();
-
-    vec![
-        before_after("layout_algebra", "compose", || {
-            std::hint::black_box(tile.compose(&mma_a).unwrap());
-        }),
-        before_after("layout_algebra", "right_inverse", || {
-            std::hint::black_box(ldmatrix_q.right_inverse().unwrap());
-        }),
-        before_after("layout_algebra", "complement", || {
-            std::hint::black_box(complement_arg.complement(8192).unwrap());
-        }),
-        before_after("layout_algebra", "coalesce", || {
-            std::hint::black_box(coalesce_arg.coalesce());
-        }),
-        before_after("layout_algebra", "logical_divide", || {
-            std::hint::black_box(divide_base.logical_divide(&divide_tiler).unwrap());
-        }),
-        before_after("layout_algebra", "map_sweep_1k", || {
-            let mut acc = 0usize;
-            for i in 0..1024 {
-                acc += mma_a.map(i);
-            }
-            std::hint::black_box(acc);
-        }),
-        before_after("layout_algebra", "tv_expand_to_128x128", || {
-            std::hint::black_box(
-                atom.expand(
-                    &[RepeatMode::along(2, 0), RepeatMode::along(2, 1)],
-                    &[RepeatMode::along(4, 0), RepeatMode::along(8, 1)],
-                )
-                .unwrap(),
-            );
-        }),
-    ]
-}
-
-fn copy_roundtrip_program() -> hexcute_ir::Program {
-    let mut kb = KernelBuilder::new("bench_copy_roundtrip", 128);
-    let src = kb.global_view("src", DType::F16, Layout::row_major(&[64, 64]), &[64, 64]);
-    let dst = kb.global_view("dst", DType::F16, Layout::row_major(&[64, 64]), &[64, 64]);
-    let stage = kb.shared_tensor("stage", DType::F16, &[64, 64]);
-    let tile = kb.register_tensor("tile", DType::F16, &[64, 64]);
-    kb.copy(src, stage);
-    kb.copy(stage, tile);
-    kb.copy(tile, dst);
-    kb.build().unwrap()
-}
-
 fn small_gemm_program() -> hexcute_ir::Program {
     let (m, n, k) = (64usize, 64usize, 64usize);
     let mut kb = KernelBuilder::new("bench_gemm", 128);
@@ -189,67 +110,10 @@ fn small_gemm_program() -> hexcute_ir::Program {
     kb.build().unwrap()
 }
 
-/// The simulation group: the functional simulator on data-movement and GEMM
-/// kernels.
-pub fn simulation_entries() -> Vec<FastPathEntry> {
-    let arch = GpuArch::a100();
-    set_fast_path(true);
-
-    let copy_program = copy_roundtrip_program();
-    let copy_candidate = Synthesizer::new(&copy_program, &arch, SynthesisOptions::default())
-        .synthesize_preferred()
-        .unwrap();
-    let mut copy_inputs = HashMap::new();
-    copy_inputs.insert("src".to_string(), vec![0.5f32; 64 * 64]);
-
-    let gemm_program = small_gemm_program();
-    let gemm_candidate = Synthesizer::new(&gemm_program, &arch, SynthesisOptions::default())
-        .synthesize_preferred()
-        .unwrap();
-    let mut gemm_inputs = HashMap::new();
-    gemm_inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
-    gemm_inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
-
-    vec![
-        before_after("simulation", "functional_copy_roundtrip_64x64", || {
-            let sim = FunctionalSim::new(&copy_program, &copy_candidate);
-            std::hint::black_box(sim.run(&copy_inputs).unwrap());
-        }),
-        before_after("simulation", "functional_gemm_64x64x64", || {
-            let sim = FunctionalSim::new(&gemm_program, &gemm_candidate);
-            std::hint::black_box(sim.run(&gemm_inputs).unwrap());
-        }),
-    ]
-}
-
-/// The synthesis group: candidate enumeration plus shared-memory synthesis
-/// and full cost-ranked compilation.
-pub fn synthesis_entries() -> Vec<FastPathEntry> {
-    let arch = GpuArch::a100();
-    let gemm = fp16_gemm(GemmShape::new(4096, 4096, 4096), GemmConfig::default()).unwrap();
-
-    vec![
-        before_after("synthesis", "gemm_all_candidates", || {
-            std::hint::black_box(
-                Synthesizer::new(&gemm, &arch, SynthesisOptions::default())
-                    .synthesize()
-                    .unwrap(),
-            );
-        }),
-        before_after("synthesis", "compile_gemm_uncached", || {
-            let compiler = Compiler::with_options(arch.clone(), CompilerOptions::new());
-            std::hint::black_box(compiler.compile(&gemm).unwrap());
-        }),
-    ]
-}
-
-/// Measures `f(false)` (incremental evaluation off — the PR 1 fast-path
-/// behaviour, re-evaluating every candidate from scratch) against `f(true)`
-/// (the shared-prefix incremental search). The flat-layout fast path stays
-/// *enabled* for both sides: the baseline here is PR 1, not the recursive
-/// reference.
+/// Measures `f(false)` (incremental evaluation off, re-evaluating every
+/// candidate from scratch) against `f(true)` (the shared-prefix incremental
+/// search).
 fn incremental_before_after<F: FnMut(bool)>(name: &str, mut f: F) -> FastPathEntry {
-    set_fast_path(true);
     let reference_ns = measure_ns(|| f(false), 5, 20.0);
     let fast_ns = measure_ns(|| f(true), 5, 20.0);
     FastPathEntry {
@@ -400,7 +264,6 @@ pub fn synthesis_parallel_entries() -> Vec<FastPathEntry> {
     .unwrap();
     let kernels: [(&str, &Program); 3] =
         [("gemm", &gemm), ("attention", &attention), ("moe", &moe)];
-    set_fast_path(true);
 
     let synthesize_with = |program: &Program, options: SynthesisOptions| {
         std::hint::black_box(
@@ -468,7 +331,6 @@ pub fn shared_cache_stats() -> (
     hexcute_parallel::cache::CacheStats,
 ) {
     let arch = GpuArch::a100();
-    set_fast_path(true);
     let program = small_gemm_program();
     let candidates = Synthesizer::new(&program, &arch, SynthesisOptions::default())
         .synthesize()
@@ -499,7 +361,6 @@ pub fn shared_cache_stats() -> (
 /// [`shared_cache_stats`].
 pub fn artifact_cache_stats() -> hexcute_core::KernelCacheStats {
     let arch = GpuArch::a100();
-    set_fast_path(true);
     let program = small_gemm_program();
     let cache = hexcute_core::KernelCache::new(hexcute_core::KernelCacheConfig::default());
     let compiler = Compiler::new(arch);
@@ -511,15 +372,6 @@ pub fn artifact_cache_stats() -> hexcute_core::KernelCacheStats {
         );
     }
     cache.stats()
-}
-
-/// Runs every group (leaving the fast path enabled afterwards).
-pub fn run_all() -> Vec<FastPathEntry> {
-    let mut entries = layout_algebra_entries();
-    entries.extend(simulation_entries());
-    entries.extend(synthesis_entries());
-    set_fast_path(true);
-    entries
 }
 
 /// Geometric-mean speedup per group, in deterministic group order.
@@ -547,7 +399,7 @@ pub fn group_speedups(entries: &[FastPathEntry]) -> Vec<(String, f64)> {
 /// Formats the entries as a human-readable report.
 pub fn as_report(entries: &[FastPathEntry]) -> Report {
     let mut report = Report::new(
-        "Flat-layout fast path: before/after",
+        "Before/after",
         &["group", "benchmark", "reference", "fast", "speedup"],
     );
     for e in entries {
@@ -575,13 +427,8 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Serializes the entries (plus per-group geomeans) as a JSON document.
-pub fn to_json(entries: &[FastPathEntry]) -> String {
-    to_json_named("flat-layout fast path", entries)
-}
-
-/// [`to_json`] with an explicit top-level benchmark name. The document
-/// carries a `meta` object recording the worker configuration and host the
+/// Serializes the entries (plus per-group geomeans) as a JSON document
+/// under the top-level benchmark name `benchmark`. The document carries a `meta` object recording the worker configuration and host the
 /// numbers were measured on (`threads` is the effective
 /// `HEXCUTE_THREADS`/auto count).
 pub fn to_json_named(benchmark: &str, entries: &[FastPathEntry]) -> String {
@@ -619,15 +466,6 @@ pub fn to_json_named(benchmark: &str, entries: &[FastPathEntry]) -> String {
     }
     out.push_str("  }\n}\n");
     out
-}
-
-/// Writes [`to_json`] to `path`, creating the parent directory if missing.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_json(path: &str, entries: &[FastPathEntry]) -> std::io::Result<()> {
-    crate::write_output(path, &to_json(entries))
 }
 
 /// Writes [`to_json_named`] to `path`, creating the parent directory if
@@ -676,7 +514,7 @@ mod tests {
                 fast_ns: 1000.0,
             },
         ];
-        let json = to_json(&entries);
+        let json = to_json_named("test", &entries);
         assert!(json.contains("\"layout_algebra\""));
         assert!(json.contains("\"geomean_speedup\": 9.000"));
         assert!(json.contains("\"geomean_speedup\": 5.000"));

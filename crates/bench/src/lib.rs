@@ -14,7 +14,6 @@ pub mod ablation;
 pub mod checks;
 pub mod compile_time;
 pub mod cost_model;
-pub mod datalayout;
 pub mod end_to_end;
 pub mod fastpath;
 pub mod moe_bench;
@@ -69,11 +68,10 @@ pub fn write_output(path: &str, contents: &str) -> std::io::Result<()> {
 ///
 /// The exercise's cache-hit invariants are *verified*, not just printed:
 /// the second pass must hit the simulator-table and per-op cost memos in
-/// *some* tier (with the lossy tier enabled the thread-local table absorbs
-/// the warm hits before the shared map is even consulted), the second
-/// compile of the unchanged program must be an artifact-cache memory hit,
-/// and — when the lossy tier is enabled — the warm repeat must produce a
-/// nonzero lossy hit rate. A violation fails the binary through
+/// *some* tier (the thread-local table absorbs the warm hits before the
+/// shared map is even consulted), the second compile of the unchanged
+/// program must be an artifact-cache memory hit, and the warm repeat must
+/// produce a nonzero lossy hit rate. A violation fails the binary through
 /// [`checks::exit_if_failed`].
 pub fn print_shared_cache_summary() {
     use hexcute_parallel::lossy::{self, LossyPurpose};
@@ -103,11 +101,7 @@ pub fn print_shared_cache_summary() {
         "Worker pool (process lifetime): {}",
         hexcute_parallel::pool_stats()
     );
-    let lossy_on = lossy::lossy_memo_enabled();
-    println!(
-        "Lossy direct-mapped front tier ({}, this exercise only):",
-        if lossy_on { "enabled" } else { "disabled" }
-    );
+    println!("Lossy direct-mapped front tier (this exercise only):");
     let mut lossy_exercise = hexcute_parallel::cache::CacheStats::default();
     for &purpose in &lossy::LOSSY_PURPOSES {
         let delta = lossy_delta(purpose);
@@ -130,12 +124,10 @@ pub fn print_shared_cache_summary() {
         artifacts.memory.hits >= 1,
         "the second compile of an unchanged program was not an artifact-cache hit",
     );
-    if lossy_on {
-        checks::check(
-            lossy_exercise.hits > 0,
-            "the warm repeat produced no lossy-memo hits with the lossy tier enabled",
-        );
-    }
+    checks::check(
+        lossy_exercise.hits > 0,
+        "the warm repeat produced no lossy-memo hits",
+    );
 }
 
 /// Geometric mean of a slice of positive numbers.

@@ -11,8 +11,8 @@
 //! fingerprint = stable_hash(program structure, target GpuArch, CompilerOptions)
 //! ```
 //!
-//! Toggles that are cross-checked to be bit-identical (the fast path, the
-//! incremental search, worker counts) deliberately do *not* participate, so
+//! Options that are cross-checked to be bit-identical (the incremental
+//! search, pruning, worker counts) deliberately do *not* participate, so
 //! one artifact serves every execution configuration.
 //!
 //! Artifacts are stored as versioned JSON files (`<fingerprint>.json`) under
@@ -121,8 +121,8 @@ impl Hasher for StableHasher {
 /// declaration, every operation), the complete architecture model (so A100
 /// and H100 artifacts never collide) and every result-affecting compiler
 /// option (see [`SynthesisOptions::hash_stable`]). Execution-strategy
-/// toggles that are cross-checked bit-for-bit — the fast path, the
-/// incremental search, worker counts — are excluded on purpose.
+/// options that are cross-checked bit-for-bit — the incremental search,
+/// pruning, worker counts — are excluded on purpose.
 ///
 /// [`SynthesisOptions::hash_stable`]: hexcute_synthesis::SynthesisOptions::hash_stable
 pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &CompilerOptions) -> u64 {

@@ -5,8 +5,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::cache::{ArtifactSource, KernelArtifact, KernelCache};
 
 use hexcute_arch::GpuArch;
@@ -192,27 +190,18 @@ impl From<SynthesisError> for CompileError {
 pub struct Compiler {
     arch: GpuArch,
     options: CompilerOptions,
-    cache: Mutex<HashMap<String, CompiledKernel>>,
 }
 
 impl Compiler {
     /// Creates a compiler targeting the given architecture with default
     /// options.
     pub fn new(arch: GpuArch) -> Self {
-        Compiler {
-            arch,
-            options: CompilerOptions::new(),
-            cache: Mutex::new(HashMap::new()),
-        }
+        Self::with_options(arch, CompilerOptions::new())
     }
 
     /// Creates a compiler with explicit options.
     pub fn with_options(arch: GpuArch, options: CompilerOptions) -> Self {
-        Compiler {
-            arch,
-            options,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Compiler { arch, options }
     }
 
     /// The target architecture.
@@ -228,8 +217,10 @@ impl Compiler {
     /// Compiles a program: synthesizes candidate layouts and instructions,
     /// ranks them, and lowers the selected candidate.
     ///
-    /// Results are cached by kernel name, so repeated compilations of the
-    /// same kernel (e.g. inside the end-to-end serving loop) are free.
+    /// Every call compiles from scratch; the result is a deterministic
+    /// function of the program, the architecture and the options. Callers
+    /// that repeat compilations go through a [`KernelCache`] (see
+    /// [`Compiler::compile_with_cache`]) or the compile service.
     ///
     /// # Errors
     ///
@@ -242,9 +233,8 @@ impl Compiler {
     /// polled at row granularity by the synthesis walks and at job
     /// granularity by the scoring fan-out, so a cancel aborts the compile
     /// promptly with a typed [`CompileError::Cancelled`]. A cancelled
-    /// compile is never inserted into the name-keyed memo — reissuing the
-    /// request recompiles from scratch and yields the exact same result a
-    /// never-cancelled compile would.
+    /// compile leaves nothing behind: reissuing the request yields the exact
+    /// same result a never-cancelled compile would.
     ///
     /// # Errors
     ///
@@ -255,16 +245,9 @@ impl Compiler {
         program: &Program,
         token: Option<&CancelToken>,
     ) -> Result<CompiledKernel, CompileError> {
-        let key = format!("{}::{}", self.arch.name, program.name);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            if hit.program == *program {
-                return Ok(hit.clone());
-            }
-        }
         let start = Instant::now();
         if self.prunes() {
             if let Some(compiled) = self.compile_pruned(program, token, start)? {
-                self.cache.lock().insert(key, compiled.clone());
                 return Ok(compiled);
             }
         }
@@ -310,30 +293,24 @@ impl Compiler {
             selection_quality,
             compile_time_ms: start.elapsed().as_secs_f64() * 1e3,
         };
-        let compiled = CompiledKernel {
+        Ok(CompiledKernel {
             program: program.clone(),
             candidate,
             lowered,
             cost,
             perf,
             stats,
-        };
-        self.cache.lock().insert(key, compiled.clone());
-        Ok(compiled)
+        })
     }
 
     /// Whether [`Compiler::compile`] takes the branch-and-bound pruned
     /// search. Pruning needs the cost model for scoring (so the Fig. 12
     /// ground-truth mode, `use_cost_model = false`, still exhaustively
-    /// simulates every candidate) and rides on the incremental prefix walk;
-    /// both the per-request option and the process-wide kill switch
-    /// (`HEXCUTE_DISABLE_PRUNE`) must be on.
+    /// simulates every candidate) and rides on the incremental prefix walk.
     fn prunes(&self) -> bool {
         self.options.use_cost_model
             && self.options.synthesis.prune
-            && hexcute_synthesis::prune_enabled()
             && self.options.synthesis.incremental
-            && hexcute_synthesis::incremental_enabled()
     }
 
     /// The branch-and-bound compile path: scores only the leaves the
@@ -447,15 +424,14 @@ impl Compiler {
     /// Synthesizes every candidate for the program and evaluates each with
     /// both the analytical cost model and the performance simulator.
     ///
-    /// When the fast path is enabled (see [`hexcute_layout::fastpath`]) the
-    /// candidates are scored in parallel across CPU cores, sharing one
+    /// The candidates are scored in parallel across CPU cores, sharing one
     /// memoizing cost model; order (and therefore candidate selection) is
-    /// identical to the serial reference. With the incremental search on
-    /// (the default, see [`hexcute_synthesis::prefix`]), the performance
-    /// simulator additionally reuses the shared cost model's instruction
-    /// timeline and memoizes per-operation bank-conflict charges across
-    /// sibling candidates — bit-identical to the re-evaluating reference,
-    /// which stays available behind `HEXCUTE_DISABLE_INCREMENTAL=1` /
+    /// identical to the serial walk (`parallel_workers: Some(1)`). With the
+    /// incremental search on (the default, see [`hexcute_synthesis::prefix`]),
+    /// the performance simulator additionally reuses the shared cost model's
+    /// instruction timeline and memoizes per-operation bank-conflict charges
+    /// across sibling candidates — bit-identical to the re-evaluating
+    /// reference, which stays available behind
     /// `SynthesisOptions::incremental = false`.
     ///
     /// # Errors
@@ -491,7 +467,7 @@ impl Compiler {
             .synthesis
             .parallel_workers
             .unwrap_or_else(hexcute_parallel::worker_count);
-        if self.options.synthesis.incremental && hexcute_synthesis::incremental_enabled() {
+        if self.options.synthesis.incremental {
             let evaluator = PerfEvaluator::new(&self.arch);
             score_all(
                 candidates,
@@ -526,11 +502,11 @@ fn cancelled_error(token: &CancelToken) -> CompileError {
     }
 }
 
-/// Scores every candidate, in parallel on the persistent worker pool when
-/// the fast path is on (order preserved) and serially otherwise. `workers`
-/// follows [`hexcute_synthesis::SynthesisOptions::parallel_workers`], so an
-/// explicit override applies to scoring and to the subtree search alike.
-/// A carried token cancels between items (and per pool job in parallel).
+/// Scores every candidate on the persistent worker pool (order preserved).
+/// `workers` follows [`hexcute_synthesis::SynthesisOptions::parallel_workers`],
+/// so an explicit override applies to scoring and to the subtree search
+/// alike; one worker scores serially on the calling thread. A carried token
+/// cancels between pool items.
 fn score_all<F>(
     candidates: Vec<Candidate>,
     score: F,
@@ -540,25 +516,12 @@ fn score_all<F>(
 where
     F: Fn(Candidate) -> (Candidate, CostBreakdown, PerfReport) + Sync,
 {
-    if hexcute_layout::fast_path_enabled() {
-        match token {
-            Some(tok) => hexcute_parallel::par_map_cancellable(candidates, score, workers, tok)
-                .ok_or_else(|| cancelled_error(tok)),
-            None => Ok(hexcute_parallel::par_map_with_workers(
-                candidates, score, workers,
-            )),
-        }
-    } else {
-        let mut scored = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            if let Some(tok) = token {
-                if tok.is_cancelled() {
-                    return Err(cancelled_error(tok));
-                }
-            }
-            scored.push(score(candidate));
-        }
-        Ok(scored)
+    match token {
+        Some(tok) => hexcute_parallel::par_map_cancellable(candidates, score, workers, tok)
+            .ok_or_else(|| cancelled_error(tok)),
+        None => Ok(hexcute_parallel::par_map_with_workers(
+            candidates, score, workers,
+        )),
     }
 }
 
@@ -646,6 +609,8 @@ mod tests {
 
     #[test]
     fn cache_returns_identical_results() {
+        // The second compile runs warm through the per-thread layout-algebra
+        // memo and must repeat the first one exactly.
         let compiler = Compiler::new(GpuArch::h100());
         let program = gemm_program();
         let first = compiler.compile(&program).unwrap();

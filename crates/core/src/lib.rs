@@ -56,6 +56,5 @@ pub use faults::{FaultInjector, FaultKind, FaultSpec, FaultSpecError};
 pub use hexcute_costmodel::CostBreakdown;
 pub use hexcute_sim::PerfReport;
 pub use hexcute_synthesis::{
-    prune_enabled, set_pruning, CancelReason, CancelToken, Candidate, SynthesisOptions,
-    SynthesisOutcome,
+    CancelReason, CancelToken, Candidate, SynthesisOptions, SynthesisOutcome,
 };

@@ -1,39 +1,41 @@
-//! Workload-conformance suite (PR 5): a randomized differential harness over
-//! the *whole* workload zoo — GEMM (FP16/BF16), warp-specialized GEMM, FP8
-//! GEMM, attention, mixed-type MoE, Mamba scan, W4A16 quantized GEMM and
-//! grouped GEMM — asserting that the ordered candidate list and every
-//! cost-model / performance-simulator score is **bit-identical** across the
-//! full execution-toggle matrix:
+//! Workload-conformance suite: a randomized differential harness over the
+//! *whole* workload zoo — GEMM (FP16/BF16), warp-specialized GEMM, FP8 GEMM,
+//! attention, mixed-type MoE, Mamba scan, W4A16 quantized GEMM and grouped
+//! GEMM — asserting that the ordered candidate list and every cost-model /
+//! performance-simulator score is **bit-identical** across the per-call
+//! option matrix:
 //!
-//! * flat-layout fast path on/off (`HEXCUTE_DISABLE_FAST_PATH` /
-//!   `hexcute_layout::set_fast_path`),
 //! * incremental prefix-shared search on/off
-//!   (`HEXCUTE_DISABLE_INCREMENTAL` / `SynthesisOptions::incremental`),
-//! * worker counts 1 and 4 (`HEXCUTE_THREADS` /
-//!   `SynthesisOptions::parallel_workers`),
-//! * lossy direct-mapped memo tier on/off (`HEXCUTE_DISABLE_LOSSY_MEMO` /
-//!   `hexcute_parallel::lossy::set_lossy_memo`), crossed with the fast-path
-//!   and worker-count axes,
-//! * deterministic node budgets (`HEXCUTE_SYNTH_BUDGET` /
-//!   `SynthesisOptions::node_budget`): a budget covering the full space is
-//!   bit-identical to the exhaustive search, and a small budget truncates
-//!   to the same prefix at every worker count and toggle,
+//!   (`SynthesisOptions::incremental`),
+//! * worker counts 1 and 4 (`SynthesisOptions::parallel_workers`; one
+//!   worker is the serial walk),
+//! * branch-and-bound pruning on/off (`SynthesisOptions::prune`): the pruned
+//!   winner equals the exhaustive argmin, artifact included,
+//! * deterministic node budgets (`SynthesisOptions::node_budget`): a budget
+//!   covering the full space is bit-identical to the exhaustive search, and
+//!   a small budget truncates to the same prefix at every worker count and
+//!   option,
 //! * artifact cache cold vs. warm (memory and disk hits).
 //!
-//! Every new workload family plugs into this harness by construction: adding
-//! a variant to [`Workload`] covers it across all toggles. The CI
-//! `determinism-mt` (`HEXCUTE_THREADS=4`) and `reference-paths`
-//! (`HEXCUTE_DISABLE_FAST_PATH=1 HEXCUTE_DISABLE_INCREMENTAL=1
-//! HEXCUTE_THREADS=1`) legs re-run this file under the env-driven toggles,
-//! so the environment-variable spellings get real coverage too (mutating the
-//! environment of a threaded test process is unsafe, so the in-process sweep
-//! uses the options instead).
+//! A second oracle checks the memo tiers: for every family, a warm answer
+//! from the lossy thread-local tier or the shared sharded tier of
+//! `CostModel::estimate`, `PerfEvaluator::evaluate` and
+//! `FunctionalSim::run_with_cache` equals a cold call on a fresh instance
+//! bit for bit.
+//!
+//! Every reference is selected by an argument, never by process-wide state,
+//! so each cell is isolated from the other tests in this binary. Every new
+//! workload family plugs into this harness by construction: adding a
+//! variant to [`Workload`] covers it across the whole matrix. The CI
+//! `single-thread` and `determinism-mt` legs re-run this file with
+//! `HEXCUTE_THREADS=1` and `4`, which moves the default worker count of
+//! the cells that do not set one.
 
-use std::sync::Mutex;
+use std::collections::HashMap;
 
-use hexcute_arch::{DType, GpuArch};
+use hexcute_arch::{DType, GpuArch, MemSpace};
 use hexcute_core::{Compiler, CompilerOptions, KernelCache, KernelCacheConfig};
-use hexcute_costmodel::CostBreakdown;
+use hexcute_costmodel::{CostBreakdown, CostModel};
 use hexcute_ir::Program;
 use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
 use hexcute_kernels::gemm::{
@@ -43,9 +45,10 @@ use hexcute_kernels::grouped_gemm::{grouped_gemm, GroupedGemmConfig, GroupedGemm
 use hexcute_kernels::mamba::{selective_scan, ScanConfig, ScanShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_kernels::quant_gemm::{w4a16_gemm, QuantGemmConfig, QuantGemmShape};
-use hexcute_sim::PerfReport;
+use hexcute_sim::{FunctionalSim, PerfEvaluator, PerfReport, SimTableCache};
 use hexcute_synthesis::{Candidate, SynthesisOptions, Synthesizer};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One sampled workload instance: a family plus its shape/dtype parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,21 +235,32 @@ fn assert_scored_equal(label: &str, program: &Program, reference: &Scored, other
             "[{label}] candidate {i} of {} diverged",
             program.name
         );
-        assert_eq!(
-            rcost.total_cycles.to_bits(),
-            ocost.total_cycles.to_bits(),
-            "[{label}] cost of candidate {i} of {} diverged",
-            program.name
-        );
-        assert_eq!(rcost, ocost);
-        assert_eq!(
-            rperf.latency_us.to_bits(),
-            operf.latency_us.to_bits(),
-            "[{label}] latency of candidate {i} of {} diverged",
-            program.name
-        );
-        assert_eq!(rperf, operf);
+        assert_same_score(label, program, i, (rcost, rperf), (ocost, operf));
     }
+}
+
+/// Asserts that two scores of candidate `i` agree bit for bit.
+fn assert_same_score(
+    label: &str,
+    program: &Program,
+    i: usize,
+    (rcost, rperf): (&CostBreakdown, &PerfReport),
+    (ocost, operf): (&CostBreakdown, &PerfReport),
+) {
+    assert_eq!(
+        rcost.total_cycles.to_bits(),
+        ocost.total_cycles.to_bits(),
+        "[{label}] cost of candidate {i} of {} diverged",
+        program.name
+    );
+    assert_eq!(rcost, ocost);
+    assert_eq!(
+        rperf.latency_us.to_bits(),
+        operf.latency_us.to_bits(),
+        "[{label}] latency of candidate {i} of {} diverged",
+        program.name
+    );
+    assert_eq!(rperf, operf);
 }
 
 /// Runs a full compile (selection + lowering) with branch-and-bound pruning
@@ -312,8 +326,7 @@ fn assert_winner_equal(
 
 /// The prune axis of the matrix: exact branch-and-bound must pick the same
 /// winner — same candidate, same cost bits, same perf bits, same emitted
-/// artifact — as the exhaustive ranking, across fast-path on/off × lossy
-/// on/off × {1, 4} workers.
+/// artifact — as the exhaustive ranking, at 1 and 4 workers.
 fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
     if !workload.supports(arch) {
         return;
@@ -321,34 +334,9 @@ fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
     let program = workload.build();
     let reference = compile_pruned_config(&program, arch, false, 1, Some(0));
 
-    // Default toggles: pruned serial and pruned parallel.
     for (label, workers, depth) in [("prune/serial", 1, Some(0)), ("prune/4-workers", 4, None)] {
         let pruned = compile_pruned_config(&program, arch, true, workers, depth);
         assert_winner_equal(label, &program, &reference, &pruned);
-    }
-
-    // Fast path × lossy memo off-cells (the on×on cells ran above). The
-    // switches are process-global, so hold the lock while they are flipped.
-    {
-        let _guard = FASTPATH_LOCK.lock().unwrap();
-        let was_fast = hexcute_layout::fast_path_enabled();
-        let was_lossy = hexcute_parallel::lossy::lossy_memo_enabled();
-        let mut runs = Vec::new();
-        for (fast, lossy) in [(false, true), (false, false), (true, false)] {
-            hexcute_layout::set_fast_path(fast);
-            hexcute_parallel::lossy::set_lossy_memo(lossy);
-            for (workers, depth) in [(1, Some(0)), (4, None)] {
-                runs.push((
-                    format!("prune/fast={fast}/lossy={lossy}/{workers}-workers"),
-                    compile_pruned_config(&program, arch, true, workers, depth),
-                ));
-            }
-        }
-        hexcute_layout::set_fast_path(was_fast);
-        hexcute_parallel::lossy::set_lossy_memo(was_lossy);
-        for (label, pruned) in &runs {
-            assert_winner_equal(label, &program, &reference, pruned);
-        }
     }
 
     // The emitted artifact must be bit-identical too — pruning must be
@@ -390,10 +378,6 @@ fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
     );
 }
 
-/// Serializes the sections that flip the process-global fast-path switch so
-/// parallel test threads in this binary never observe each other's toggles.
-static FASTPATH_LOCK: Mutex<()> = Mutex::new(());
-
 fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -404,7 +388,7 @@ fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// The full toggle matrix for one (workload, arch) pair.
+/// The full option matrix for one (workload, arch) pair.
 fn assert_conformance(workload: &Workload, arch: &GpuArch) {
     if !workload.supports(arch) {
         return;
@@ -429,7 +413,7 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
 
     // Node budget ≥ the full search space is a no-op: bit-identical to the
     // unbudgeted exhaustive search, at any worker count and on both the
-    // incremental and reference paths (HEXCUTE_SYNTH_BUDGET axis, PR 8).
+    // incremental and reference paths.
     let big_serial = compile_config_budgeted(&program, arch, true, 1, Some(0), Some(usize::MAX));
     assert_scored_equal("budget-max/serial", &program, &reference, &big_serial);
     let big_parallel = compile_config_budgeted(&program, arch, false, 4, None, Some(usize::MAX));
@@ -480,61 +464,6 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
         assert_eq!(truncated_candidates.len(), exhaustive.1.len());
     }
 
-    // Fast path off: the recursive layout algebra and the element-by-element
-    // simulator (the HEXCUTE_DISABLE_FAST_PATH configuration). The switch is
-    // process-global, so hold the lock while it is flipped. Crossed with the
-    // lossy direct-mapped memo tier (HEXCUTE_DISABLE_LOSSY_MEMO), which must
-    // be invisible to results: its tables tag-check and full-key-compare
-    // before returning, so a lossy hit is always the value the sharded maps
-    // would have produced. The on×on×{1,4} cells are the reference /
-    // inc_parallel runs above (both switches default on); the remaining six
-    // cells of the lossy × fast-path × workers cube run here.
-    {
-        let _guard = FASTPATH_LOCK.lock().unwrap();
-        let was_fast = hexcute_layout::fast_path_enabled();
-        let was_lossy = hexcute_parallel::lossy::lossy_memo_enabled();
-
-        hexcute_layout::set_fast_path(false);
-        let slow = compile_config(&program, arch, false, 1, Some(0));
-        let slow_parallel = compile_config(&program, arch, true, 4, None);
-
-        hexcute_parallel::lossy::set_lossy_memo(false);
-        let slow_lossless = compile_config(&program, arch, false, 1, Some(0));
-        let slow_lossless_parallel = compile_config(&program, arch, true, 4, None);
-
-        hexcute_layout::set_fast_path(was_fast);
-        let lossless = compile_config(&program, arch, false, 1, Some(0));
-        let lossless_parallel = compile_config(&program, arch, true, 4, None);
-
-        hexcute_parallel::lossy::set_lossy_memo(was_lossy);
-        assert_scored_equal("fast-path-off", &program, &reference, &slow);
-        assert_scored_equal(
-            "fast-path-off/4-workers",
-            &program,
-            &reference,
-            &slow_parallel,
-        );
-        assert_scored_equal(
-            "lossy-off/fast-path-off",
-            &program,
-            &reference,
-            &slow_lossless,
-        );
-        assert_scored_equal(
-            "lossy-off/fast-path-off/4-workers",
-            &program,
-            &reference,
-            &slow_lossless_parallel,
-        );
-        assert_scored_equal("lossy-off", &program, &reference, &lossless);
-        assert_scored_equal(
-            "lossy-off/4-workers",
-            &program,
-            &reference,
-            &lossless_parallel,
-        );
-    }
-
     // Prune axis: exact branch-and-bound vs. the exhaustive ranking.
     assert_prune_conformance(workload, arch);
 
@@ -559,6 +488,135 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
     assert_eq!(disk_src, hexcute_core::ArtifactSource::Disk);
     assert_eq!(*disk, *cold, "disk hit differs for {}", program.name);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Seeded random contents for every global buffer of `program`, so the
+/// simulator comparisons below see real data rather than zeros.
+fn global_inputs(program: &Program, seed: u64) -> HashMap<String, Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    program
+        .tensors()
+        .iter()
+        .filter(|decl| decl.space == MemSpace::Global)
+        .map(|decl| {
+            let layout = decl
+                .global_layout
+                .as_ref()
+                .expect("global views carry layouts");
+            let data = (0..layout.cosize())
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            (decl.name.clone(), data)
+        })
+        .collect()
+}
+
+/// The bit patterns of every simulated buffer, ordered by name.
+fn buffer_bits(buffers: &HashMap<String, Vec<f32>>) -> Vec<(String, Vec<u32>)> {
+    let mut bits: Vec<_> = buffers
+        .iter()
+        .map(|(name, data)| (name.clone(), data.iter().map(|x| x.to_bits()).collect()))
+        .collect();
+    bits.sort();
+    bits
+}
+
+/// Candidates the memo oracle simulates per family: the preferred one and
+/// its first sibling, which reuses most of the preferred one's index tables.
+/// (The simulator is the slowest call here; the cost model and perf
+/// evaluator are checked on every candidate.)
+const SIMULATED_SIBLINGS: usize = 2;
+
+/// The memo-hit oracle for one (workload, arch) pair: every answer a memo
+/// tier serves for `CostModel::estimate`, `PerfEvaluator::evaluate` and
+/// `FunctionalSim::run_with_cache` equals, bit for bit, a cold call on a
+/// fresh instance (a fresh salt, so no tier can answer it). Three warm
+/// passes run on one instance of each:
+///
+/// * `sibling-warm`: candidates in enumeration order, so per-operation
+///   entries written for one candidate answer its siblings;
+/// * `lossy-hit`: an immediate repeat, answered by the lossy thread-local
+///   tier (the shared tier's counters must not move);
+/// * `shared-hit`: a fresh thread, whose lossy tables are empty, so the
+///   shared sharded tier answers (it must record no new miss).
+fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch, seed: u64) {
+    if !workload.supports(arch) {
+        return;
+    }
+    let program = workload.build();
+    let candidates = Synthesizer::new(&program, arch, SynthesisOptions::default())
+        .synthesize()
+        .unwrap();
+    let inputs = global_inputs(&program, seed);
+    let simulated = SIMULATED_SIBLINGS.min(candidates.len());
+    let cold: Vec<(CostBreakdown, PerfReport)> = candidates
+        .iter()
+        .map(|candidate| {
+            let cost = CostModel::new(arch).estimate(&program, candidate);
+            let perf = PerfEvaluator::new(arch).evaluate(&program, candidate, &cost);
+            (cost, perf)
+        })
+        .collect();
+    let cold_buffers: Vec<_> = candidates[..simulated]
+        .iter()
+        .map(|candidate| {
+            let sim = FunctionalSim::new(&program, candidate);
+            buffer_bits(&sim.run_with_cache(&inputs, &SimTableCache::new()).unwrap())
+        })
+        .collect();
+
+    let model = CostModel::new(arch);
+    let evaluator = PerfEvaluator::new(arch);
+    let tables = SimTableCache::new();
+    let warm = |label: &str, i: usize, simulate: bool| {
+        let candidate = &candidates[i];
+        let cost = model.estimate(&program, candidate);
+        let perf = evaluator.evaluate(&program, candidate, &cost);
+        assert_same_score(label, &program, i, (&cold[i].0, &cold[i].1), (&cost, &perf));
+        if simulate && i < simulated {
+            let sim = FunctionalSim::new(&program, candidate);
+            assert_eq!(
+                buffer_bits(&sim.run_with_cache(&inputs, &tables).unwrap()),
+                cold_buffers[i],
+                "[{label}] simulated buffers of candidate {i} of {} diverged",
+                program.name
+            );
+        }
+    };
+    for i in 0..candidates.len() {
+        warm("sibling-warm", i, true);
+        let before = model.candidate_cache_stats();
+        warm("lossy-hit", i, false);
+        let after = model.candidate_cache_stats();
+        assert_eq!(
+            (before.hits, before.misses),
+            (after.hits, after.misses),
+            "the repeat estimate of candidate {i} of {} missed the lossy tier",
+            program.name
+        );
+    }
+    let misses = || {
+        (
+            model.candidate_cache_stats().misses,
+            evaluator.bank_cache_stats().misses,
+            tables.stats().misses,
+        )
+    };
+    let (hits_before, misses_before) = (model.candidate_cache_stats().hits, misses());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..candidates.len() {
+                warm("shared-hit", i, true);
+            }
+        });
+    });
+    assert_eq!(
+        misses_before,
+        misses(),
+        "a fresh thread recomputed an entry the shared tier holds for {}",
+        program.name
+    );
+    assert!(model.candidate_cache_stats().hits > hits_before);
 }
 
 /// Every family once (one representative instance each), on its natural
@@ -671,5 +729,32 @@ proptest! {
         let workload = workload_from(family, a, b, c, tokens);
         let arch = if on_h100 == 1 { GpuArch::h100() } else { GpuArch::a100() };
         assert_conformance(&workload, &arch);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The memo-hit oracle over all 8 families at sampled shapes: a warm
+    /// answer from any memo tier equals a cold call on a fresh instance.
+    #[test]
+    fn memo_hits_equal_cold_calls_for_every_family(
+        a in 0usize..12,
+        b in 0usize..12,
+        c in 0usize..12,
+        tokens in collection::vec(0usize..=48, 2..=6),
+        on_h100 in 0usize..2,
+        seed in 0u64..1 << 32,
+    ) {
+        for family in 0..8 {
+            let workload = workload_from(family, a, b, c, tokens.clone());
+            let a100 = GpuArch::a100();
+            let arch = if on_h100 == 1 || !workload.supports(&a100) {
+                GpuArch::h100()
+            } else {
+                a100
+            };
+            assert_memo_hits_match_cold_calls(&workload, &arch, seed);
+        }
     }
 }

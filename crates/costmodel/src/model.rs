@@ -1,7 +1,6 @@
 //! The analytical latency model.
 //!
-//! When the flat fast path is enabled (see [`hexcute_layout::fastpath`]),
-//! per-operation issue/completion estimates are memoized across candidates:
+//! Per-operation issue/completion estimates are memoized across candidates:
 //! the search tree varies one instruction choice at a time, so most
 //! operations of sibling candidates share identical choices and their costs
 //! are computed once. The cache key is a fingerprint of exactly the choice
@@ -12,9 +11,10 @@
 //! [`hexcute_synthesis::prefix`]) the accumulation over a candidate is
 //! additionally memoized whole: estimates accrue per shared prefix through
 //! the per-operation cache, and a repeat estimate of a candidate whose full
-//! choice fingerprint was seen before is a single lookup. Both layers are
-//! disabled together with their respective switches, restoring the
-//! recompute-everything reference behaviour.
+//! choice fingerprint was seen before is a single lookup. A warm answer from
+//! either layer equals a cold estimate on a fresh model bit for bit; the
+//! memo-hit oracle tests in `hexcute-core` check it over every workload
+//! family.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -23,7 +23,6 @@ use std::sync::{Arc, RwLock};
 
 use hexcute_arch::GpuArch;
 use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
-use hexcute_layout::fastpath;
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
 use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::Candidate;
@@ -176,25 +175,21 @@ impl<'a> CostModel<'a> {
 
     /// Estimates the per-block latency of a candidate program.
     ///
-    /// When both the fast path and the incremental search are enabled, the
-    /// whole estimate is memoized per candidate fingerprint; the memoized
-    /// value is bit-identical to a recomputation.
+    /// The whole estimate is memoized per candidate fingerprint; the
+    /// memoized value is bit-identical to a recomputation.
     pub fn estimate(&self, program: &Program, candidate: &Candidate) -> CostBreakdown {
         let tag = self.retag(program);
-        if fastpath::enabled() && hexcute_synthesis::incremental_enabled() {
-            let key = candidate_fingerprint(program, candidate);
-            // The candidate fingerprint already embeds the program
-            // fingerprint, so the lossy key only needs the instance salt.
-            return lossy::two_tier_get_or_insert_with(
-                LossyPurpose::CandidateEstimate,
-                self.salt,
-                key,
-                &self.candidate_cache,
-                key,
-                || self.estimate_uncached(program, candidate, tag),
-            );
-        }
-        self.estimate_uncached(program, candidate, tag)
+        let key = candidate_fingerprint(program, candidate);
+        // The candidate fingerprint already embeds the program fingerprint,
+        // so the lossy key only needs the instance salt.
+        lossy::two_tier_get_or_insert_with(
+            LossyPurpose::CandidateEstimate,
+            self.salt,
+            key,
+            &self.candidate_cache,
+            key,
+            || self.estimate_uncached(program, candidate, tag),
+        )
     }
 
     /// The uncached estimate behind [`CostModel::estimate`].
@@ -365,11 +360,10 @@ impl<'a> CostModel<'a> {
     /// Issue and completion cycles of one tile-level operation under the
     /// candidate's instruction choices.
     ///
-    /// Results are memoized per `(operation, choice fingerprint)` when the
-    /// fast path is enabled, so candidates sharing a choice for an operation
-    /// pay for its estimate once. The cache is invalidated when `program`
-    /// differs from the one the model last saw (operation ids are only
-    /// unique within a program).
+    /// Results are memoized per `(operation, choice fingerprint)`, so
+    /// candidates sharing a choice for an operation pay for its estimate
+    /// once. The cache is invalidated when `program` differs from the one
+    /// the model last saw (operation ids are only unique within a program).
     pub fn op_cycles(&self, program: &Program, candidate: &Candidate, op: &Op) -> (f64, f64) {
         let tag = self.retag(program);
         self.op_cycles_memo(program, candidate, op, tag)
@@ -386,9 +380,6 @@ impl<'a> CostModel<'a> {
         op: &Op,
         tag: u64,
     ) -> (f64, f64) {
-        if !fastpath::enabled() {
-            return self.op_cycles_uncached(program, candidate, op);
-        }
         let fp = op_choice_fingerprint(candidate, op);
         // The op-cost compute is cheap and touches no other cache, so the
         // shared fallthrough can afford the compute-under-lock single probe.

@@ -338,11 +338,6 @@ fn shutdown_drains_queued_waiters_and_cancels_inflight() {
 /// the cooperative cancel.
 #[test]
 fn cancelled_pruned_search_frees_its_admission_slot() {
-    if !hexcute_core::prune_enabled() {
-        // Reference-paths CI leg (HEXCUTE_DISABLE_PRUNE=1): the pruned
-        // compile path is off process-wide, so there is nothing to regress.
-        return;
-    }
     assert!(
         CompilerOptions::new().synthesis.prune,
         "this regression targets the default pruned compile path"

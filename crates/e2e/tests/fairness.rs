@@ -7,19 +7,48 @@
 //! `determinism-mt` CI leg: the grant schedule is a pure function of
 //! arrival (ticket) order, independent of `HEXCUTE_THREADS`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{CompilerOptions, KernelCacheConfig};
 use hexcute_e2e::{CompileService, Priority, ServiceConfig, TenantId};
 use hexcute_ir::Program;
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
+use hexcute_synthesis::{set_synth_fault_hook, SynthFaultPoint};
 
 /// A kernel that synthesizes long enough for an observable queue to build
 /// up behind it.
 fn slow_program() -> Program {
     fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap()
+}
+
+/// Holds every synthesis walk at its first stall point until dropped, so
+/// slot holders stay busy while a queue builds behind them however fast the
+/// compiler is. The hook is process-wide: a sibling test's syntheses wait
+/// at the gate too, which only delays them.
+struct SynthesisGate(Arc<AtomicBool>);
+
+impl SynthesisGate {
+    fn close() -> Self {
+        let open = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&open);
+        set_synth_fault_hook(Some(Arc::new(move |point| {
+            while point == SynthFaultPoint::Stall && !gate.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            None
+        })));
+        SynthesisGate(open)
+    }
+}
+
+impl Drop for SynthesisGate {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+        set_synth_fault_hook(None);
+    }
 }
 
 /// Distinct quick kernels (one per waiter, so nothing coalesces).
@@ -144,21 +173,21 @@ fn tenant_bursts_share_the_slots_fairly() {
         config,
     ));
 
-    // Two distinct slow kernels (they must not coalesce) on two distinct
-    // tenants occupy both slots while the queue builds.
-    let holders: Vec<_> = [
-        (100u32, GemmShape::new(1024, 1024, 1024)),
-        (101u32, GemmShape::new(1024, 1024, 512)),
-    ]
-    .into_iter()
-    .map(|(tenant, shape)| {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            let program = fp16_gemm(shape, GemmConfig::default()).unwrap();
-            service.compile_as(&program, Priority::LatencyCritical, TenantId(tenant))
+    // Two distinct kernels (they must not coalesce) on two distinct tenants
+    // occupy both slots while the queue builds: the gate holds them until
+    // every request below is parked. They are as quick as the waiters, so
+    // once released both slots free up together.
+    let gate = SynthesisGate::close();
+    let holders: Vec<_> = [(100u32, 32usize), (101u32, 48usize)]
+        .into_iter()
+        .map(|(tenant, k)| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let program = small_program(k);
+                service.compile_as(&program, Priority::LatencyCritical, TenantId(tenant))
+            })
         })
-    })
-    .collect();
+        .collect();
     while service.stats().syntheses < 2 {
         std::thread::yield_now();
     }
@@ -184,6 +213,7 @@ fn tenant_bursts_share_the_slots_fairly() {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
     }
+    drop(gate);
 
     for holder in holders {
         holder.join().unwrap().expect("the slot holders succeed");

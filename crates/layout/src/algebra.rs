@@ -11,9 +11,9 @@
 //!   [`FlatLayout`] representation, computed on plain mode arrays, and the
 //!   result is memoized in the per-thread cache of [`crate::fastpath`], so
 //!   the repeated algebra performed by the synthesis DFS is a hash lookup;
-//! * the **reference path** (`*_reference` methods, also used process-wide
-//!   when the fast path is disabled): the original recursive implementation
-//!   walking the hierarchical [`IntTuple`] trees.
+//! * the **reference path** (`*_reference` methods): the original recursive
+//!   implementation walking the hierarchical [`IntTuple`] trees, kept as a
+//!   test oracle and never selected at runtime.
 //!
 //! The randomized cross-check tests in `tests/flat_vs_reference.rs` enforce
 //! the equivalence of the two paths, errors included.
@@ -53,9 +53,6 @@ impl Layout {
     /// }
     /// ```
     pub fn compose(&self, rhs: &Layout) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.compose_reference(rhs);
-        }
         fastpath::memo_compose(self, rhs, || self.compose_flat(rhs))
     }
 
@@ -108,9 +105,6 @@ impl Layout {
     /// assert!(full.is_compact_bijection());
     /// ```
     pub fn complement(&self, cosize_target: usize) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.complement_reference(cosize_target);
-        }
         fastpath::memo_complement(self, cosize_target, || {
             self.complement_flat(Some(cosize_target))
         })
@@ -245,9 +239,6 @@ impl Layout {
     /// assert!(q_inv.equivalent(&expected));
     /// ```
     pub fn right_inverse(&self) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.right_inverse_reference();
-        }
         fastpath::memo_unary(UnaryOp::RightInverse, self, || self.right_inverse_flat())
     }
 
@@ -282,9 +273,6 @@ impl Layout {
     /// Returns an error when the layout is not injective or its image cannot
     /// be completed to a contiguous interval.
     pub fn left_inverse(&self) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.left_inverse_reference();
-        }
         fastpath::memo_unary(UnaryOp::LeftInverse, self, || {
             if self.is_compact_bijection() {
                 return self.right_inverse_flat();
@@ -314,9 +302,6 @@ impl Layout {
     ///
     /// Returns an error when the layout has overlapping or broadcast modes.
     pub fn interior_complement(&self) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.interior_complement_reference();
-        }
         self.complement_flat(None)
     }
 
@@ -367,9 +352,6 @@ impl Layout {
     ///
     /// Propagates composition and complement errors.
     pub fn logical_divide(&self, rhs: &Layout) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.logical_divide_reference(rhs);
-        }
         fastpath::memo_binary(fastpath::BinaryOp::LogicalDivide, self, rhs, || {
             let complement = rhs.complement(self.size())?;
             let tiler = Layout::make_pair(rhs, &complement);
@@ -404,9 +386,6 @@ impl Layout {
     ///
     /// Propagates composition and complement errors.
     pub fn logical_product(&self, rhs: &Layout) -> Result<Layout> {
-        if !fastpath::enabled() {
-            return self.logical_product_reference(rhs);
-        }
         fastpath::memo_binary(fastpath::BinaryOp::LogicalProduct, self, rhs, || {
             let complement = self.complement(self.size().max(self.cosize()) * rhs.cosize())?;
             let repeat = complement.compose(rhs)?;
@@ -797,7 +776,6 @@ mod tests {
 
     #[test]
     fn fast_and_reference_paths_agree_on_the_paper_examples() {
-        crate::fastpath::set_enabled(true);
         let g = Layout::new(ituple![(4, 8), (2, 2, 2)], ituple![(32, 1), (16, 8, 256)]).unwrap();
         let q = Layout::new(ituple![(4, 8), (2, 4)], ituple![(64, 1), (32, 8)]).unwrap();
         assert_eq!(

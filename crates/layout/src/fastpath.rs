@@ -1,4 +1,4 @@
-//! Fast-path switch and the memoization cache for the layout algebra.
+//! The memoization cache for the layout algebra.
 //!
 //! Layout synthesis performs the same `compose` / `complement` /
 //! `right_inverse` calls over and over while walking its DFS search tree, so
@@ -6,18 +6,13 @@
 //! layouts: the first call computes through the flat representation
 //! ([`crate::FlatLayout`]), every repeat is a hash lookup plus a clone.
 //!
-//! The whole fast path (memoized algebra here, the table-driven simulator in
-//! `hexcute-sim`, and the parallel candidate search in `hexcute-synthesis`)
-//! is controlled by one switch: [`set_enabled`], initialized from the
-//! `HEXCUTE_DISABLE_FAST_PATH` environment variable. Disabling it routes
-//! every operation through the recursive reference implementations, which is
-//! how the before/after benchmarks and the flat-vs-reference property tests
-//! exercise both paths in one process.
+//! This is the only runtime path. The recursive `*_reference` methods on
+//! [`Layout`] bypass both the flat representation and this cache; tests call
+//! them directly as oracles (`tests/flat_vs_reference.rs`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::error::Result;
 use crate::layout::Layout;
@@ -76,30 +71,6 @@ impl Hasher for FxHasher {
 }
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// 0 = uninitialized, 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Returns `true` when the flat fast path (memoized algebra, table-driven
-/// simulation, parallel search) is active.
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let disabled = std::env::var("HEXCUTE_DISABLE_FAST_PATH")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            STATE.store(if disabled { 2 } else { 1 }, Ordering::Relaxed);
-            !disabled
-        }
-    }
-}
-
-/// Globally enables or disables the fast path (all threads, process-wide).
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Hit/miss counters of the current thread's algebra cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -316,7 +287,6 @@ mod tests {
 
     #[test]
     fn memoization_hits_on_repeats() {
-        set_enabled(true);
         clear_cache();
         let a = Layout::column_major(&[32, 16]);
         let b = Layout::from_flat(&[8, 4], &[4, 128]);
@@ -335,7 +305,6 @@ mod tests {
 
     #[test]
     fn eviction_keeps_results_correct() {
-        set_enabled(true);
         clear_cache();
         let base = Layout::identity(1 << 20);
         // Drive enough distinct operands through the nested memoized ops
@@ -367,7 +336,6 @@ mod tests {
 
     #[test]
     fn errors_are_memoized_too() {
-        set_enabled(true);
         clear_cache();
         let a = Layout::from_flat(&[3, 5], &[5, 1]);
         let b = Layout::from_mode(2, 2);

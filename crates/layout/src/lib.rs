@@ -45,10 +45,7 @@ mod swizzle;
 mod tv;
 
 pub use error::{LayoutError, Result};
-pub use fastpath::{
-    cache_stats, clear_cache, enabled as fast_path_enabled, set_enabled as set_fast_path,
-    CacheStats,
-};
+pub use fastpath::{cache_stats, clear_cache, CacheStats};
 pub use flat::FlatLayout;
 pub use int_tuple::IntTuple;
 pub use layout::Layout;

@@ -157,8 +157,8 @@ proptest! {
         um in 1usize..=2,
         un in 1usize..=2,
     ) {
-        // TvLayout::expand is pure composition; with the fast path enabled it
-        // runs through the memoized flat algebra. Its coordinates must match
+        // TvLayout::expand is pure composition through the memoized flat
+        // algebra. Its coordinates must match
         // an element-by-element evaluation through the reference map.
         let threads = 1 << threads_log;
         let values = 1 << values_log;

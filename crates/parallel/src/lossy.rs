@@ -16,10 +16,9 @@
 //! only served when the key compares equal — a tag collision therefore reads
 //! as a miss and recomputes, it can never substitute a wrong value. Combined
 //! with every cached value being a pure function of its key, the lossy tier
-//! is invisible in results: candidates, costs and artifacts are bit-for-bit
-//! identical with the tier on or off. The `HEXCUTE_DISABLE_LOSSY_MEMO`
-//! toggle (see [`lossy_memo_enabled`]) participates in the workload
-//! conformance matrix to keep that checked.
+//! is invisible in results: a warm answer from the tier is bit-for-bit
+//! identical to a cold computation. The memo-hit oracle tests in
+//! `hexcute-core` keep that checked over every workload family.
 //!
 //! ## Two tiers
 //!
@@ -36,61 +35,14 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::cache::{CacheStats, ShardedMap};
 
-/// Default number of slots per purpose per thread when
-/// `HEXCUTE_LOSSY_MEMO_CAPACITY` is not set.
+/// Slots in each per-thread, per-purpose lossy table. Each slot holds one
+/// tagged key/value pair; collisions overwrite (an eviction, counted).
 pub const DEFAULT_LOSSY_CAPACITY: usize = 4096;
-
-// ---------------------------------------------------------------------------
-// The process-wide toggle (mirrors `hexcute_synthesis::incremental`).
-// ---------------------------------------------------------------------------
-
-/// 0 = uninitialized, 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Returns `true` when the thread-local lossy memo tier is globally enabled
-/// (the default; `HEXCUTE_DISABLE_LOSSY_MEMO=1` disables it at startup).
-/// When disabled, [`two_tier_get_or_insert_with`] degrades to a plain
-/// [`ShardedMap::get_or_insert_with`] — the pre-refactor behaviour.
-pub fn lossy_memo_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let disabled = std::env::var("HEXCUTE_DISABLE_LOSSY_MEMO")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            STATE.store(if disabled { 2 } else { 1 }, Ordering::Relaxed);
-            !disabled
-        }
-    }
-}
-
-/// Globally enables or disables the lossy memo tier (all threads,
-/// process-wide). Tables already populated are retained — their keys are
-/// salted and their values pure functions of the key, so re-enabling the
-/// tier later serves only still-valid entries.
-pub fn set_lossy_memo(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Slots per purpose per thread: `HEXCUTE_LOSSY_MEMO_CAPACITY` rounded up to
-/// a power of two and clamped to a sane range, read once per process
-/// (resizing live tables would invalidate nothing but is not supported).
-pub fn lossy_capacity() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
-    *CAPACITY.get_or_init(|| {
-        std::env::var("HEXCUTE_LOSSY_MEMO_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.clamp(16, 1 << 22).next_power_of_two())
-            .unwrap_or(DEFAULT_LOSSY_CAPACITY)
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Tag mixing and instance salts.
@@ -358,7 +310,9 @@ where
         let mut tables = cell.borrow_mut();
         let slot = &mut tables[purpose.index()];
         let any = slot.get_or_insert_with(|| {
-            Box::new(LossyTable::<(u64, K), V>::with_capacity(lossy_capacity()))
+            Box::new(LossyTable::<(u64, K), V>::with_capacity(
+                DEFAULT_LOSSY_CAPACITY,
+            ))
         });
         let table = any
             .downcast_mut::<LossyTable<(u64, K), V>>()
@@ -370,8 +324,7 @@ where
 /// The two-tier memo front: probes this thread's lossy table for
 /// `(salt, key)` first, falling through to the shared [`ShardedMap`] tier
 /// (which deduplicates computation across workers) and backfilling the
-/// table. With the tier disabled (see [`lossy_memo_enabled`]) this is
-/// exactly `shared.get_or_insert_with(key, compute)`.
+/// table.
 ///
 /// `tag` is a precomputed fingerprint of `key` (the caller usually has one
 /// already); `salt` distinguishes cache owners and is part of the stored
@@ -390,9 +343,6 @@ where
     V: Clone + 'static,
     F: FnOnce() -> V,
 {
-    if !lossy_memo_enabled() {
-        return shared.get_or_insert_with(key, compute);
-    }
     two_tier_cached(purpose, salt, tag, key, |k| {
         shared.get_or_insert_with(k, compute)
     })
@@ -416,9 +366,6 @@ where
     V: Clone + 'static,
     F: FnOnce() -> V,
 {
-    if !lossy_memo_enabled() {
-        return shared.probe_or_insert_with(key, compute);
-    }
     two_tier_cached(purpose, salt, tag, key, |k| {
         shared.probe_or_insert_with(k, compute)
     })
@@ -448,18 +395,14 @@ where
 }
 
 /// Probes this thread's lossy table only — no shared-tier fallthrough, no
-/// computation. `None` when the tier is disabled (without counting a miss).
-/// Pair with [`backfill`] at call sites whose compute is fallible and must
-/// propagate errors before anything is cached; plain memo sites should use
-/// [`two_tier_get_or_insert_with`] instead.
+/// computation. Pair with [`backfill`] at call sites whose compute is
+/// fallible and must propagate errors before anything is cached; plain memo
+/// sites should use [`two_tier_get_or_insert_with`] instead.
 pub fn probe<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: &K) -> Option<V>
 where
     K: Eq + Clone + 'static,
     V: Clone + 'static,
 {
-    if !lossy_memo_enabled() {
-        return None;
-    }
     let tag = mix(salt, tag);
     let lossy_key = (salt, key.clone());
     let hit = with_table::<K, V, _>(purpose, |table| table.get(tag, &lossy_key).cloned());
@@ -477,15 +420,12 @@ where
 }
 
 /// Stores a freshly computed value in this thread's lossy table (the second
-/// half of a [`probe`]-miss). A no-op when the tier is disabled.
+/// half of a [`probe`]-miss).
 pub fn backfill<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: K, value: V)
 where
     K: Eq + 'static,
     V: Clone + 'static,
 {
-    if !lossy_memo_enabled() {
-        return;
-    }
     let tag = mix(salt, tag);
     let c = &counters()[purpose.index()];
     with_table::<K, V, _>(purpose, |table| {
@@ -561,8 +501,6 @@ mod tests {
     fn two_tier_front_hits_locally_and_falls_through_to_shared() {
         // A dedicated salt isolates this test from concurrent siblings (the
         // counters are global, but the table entries cannot cross-talk).
-        let was_enabled = lossy_memo_enabled();
-        set_lossy_memo(true);
         let salt = instance_salt();
         let shared: ShardedMap<u64, u64> = ShardedMap::new();
         let mut computes = 0u32;
@@ -590,27 +528,10 @@ mod tests {
             two_tier_get_or_insert_with(LossyPurpose::OpCost, other_salt, 42, &shared, 42, || 7);
         // ...but the shared tier still deduplicates across salts (same map key).
         assert_eq!(v, 4200);
-        set_lossy_memo(was_enabled);
-    }
-
-    #[test]
-    fn disabled_tier_is_a_plain_sharded_lookup() {
-        let was_enabled = lossy_memo_enabled();
-        set_lossy_memo(false);
-        let shared: ShardedMap<u64, u64> = ShardedMap::new();
-        let salt = instance_salt();
-        let v = two_tier_get_or_insert_with(LossyPurpose::BankPenalty, salt, 1, &shared, 1, || 10);
-        assert_eq!(v, 10);
-        let v = two_tier_get_or_insert_with(LossyPurpose::BankPenalty, salt, 1, &shared, 1, || 20);
-        assert_eq!(v, 10, "served by the shared tier");
-        assert!(shared.stats().hits >= 1);
-        set_lossy_memo(was_enabled);
     }
 
     #[test]
     fn stats_are_exported_per_purpose_as_cache_stats() {
-        let was_enabled = lossy_memo_enabled();
-        set_lossy_memo(true);
         let salt = instance_salt();
         let shared: ShardedMap<u64, u64> = ShardedMap::new();
         let before = lossy_stats(LossyPurpose::SimGather);
@@ -623,7 +544,6 @@ mod tests {
         assert!(after.misses > before.misses);
         let total = lossy_stats_total();
         assert!(total.hits >= after.hits);
-        set_lossy_memo(was_enabled);
     }
 
     #[test]

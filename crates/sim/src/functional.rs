@@ -12,13 +12,13 @@
 //!
 //! Evaluating the layout index function per element is expensive: every
 //! `tile_coords` / `address` call walks hierarchical tuples and allocates.
-//! When the flat fast path is enabled (see [`hexcute_layout::fastpath`]),
-//! the simulator instead precomputes per-operation **index tables** once —
+//! The simulator instead precomputes per-operation **index tables** once —
 //! for each `(thread, value)` pair the source and destination addresses,
 //! with the main-loop iteration folded in as a single additive offset — and
 //! the inner loops become straight array indexing. The reference
-//! element-by-element path is kept and used when the fast path is disabled;
-//! both paths produce bit-identical buffers.
+//! element-by-element path is kept as a test oracle, reachable only through
+//! the explicit [`FunctionalSim::run_reference`] call; both paths produce
+//! bit-identical buffers.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use hexcute_arch::{DType, MemSpace};
 use hexcute_ir::{ElementwiseOp, Op, OpId, OpKind, Program, ReduceOp, TensorId};
-use hexcute_layout::{fastpath, Layout, Swizzle, SwizzledLayout, TvLayout};
+use hexcute_layout::{Layout, Swizzle, SwizzledLayout, TvLayout};
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
 use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::Candidate;
@@ -240,10 +240,12 @@ impl SimTableCache {
 }
 
 /// Per-run state: the fingerprints resolved once per operation/tensor for
-/// this candidate (so inner loops don't re-hash layouts per iteration) and
-/// the reusable scratch buffer.
+/// this candidate (so inner loops don't re-hash layouts per iteration), the
+/// reusable scratch buffer, and whether this run is the element-wise
+/// reference.
 #[derive(Debug, Default)]
 struct RunState {
+    reference: bool,
     copy_fp: HashMap<OpId, u64>,
     tv_fp: HashMap<TensorId, u64>,
     gather_fp: HashMap<TensorId, u64>,
@@ -313,6 +315,34 @@ impl<'a> FunctionalSim<'a> {
         inputs: &HashMap<String, Vec<f32>>,
         cache: &SimTableCache,
     ) -> Result<HashMap<String, Vec<f32>>> {
+        self.simulate(inputs, cache, RunState::default())
+    }
+
+    /// The element-by-element reference simulation: evaluates the layout
+    /// index functions per element instead of building index tables. It is
+    /// the oracle the table-driven [`FunctionalSim::run`] is checked against
+    /// and must agree with it bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FunctionalSim::run`].
+    pub fn run_reference(
+        &self,
+        inputs: &HashMap<String, Vec<f32>>,
+    ) -> Result<HashMap<String, Vec<f32>>> {
+        let state = RunState {
+            reference: true,
+            ..RunState::default()
+        };
+        self.simulate(inputs, &SimTableCache::new(), state)
+    }
+
+    fn simulate(
+        &self,
+        inputs: &HashMap<String, Vec<f32>>,
+        cache: &SimTableCache,
+        mut state: RunState,
+    ) -> Result<HashMap<String, Vec<f32>>> {
         let threads = self.program.threads_per_block;
 
         // Global buffers.
@@ -367,10 +397,8 @@ impl<'a> FunctionalSim<'a> {
             );
         }
 
-        // Per-run fingerprint resolutions and scratch; the index tables
-        // themselves live in `cache` and may outlive this run.
-        let mut state = RunState::default();
-
+        // `state` holds the per-run fingerprint resolutions and scratch; the
+        // index tables themselves live in `cache` and may outlive this run.
         // Execution order: pre-loop ops, the loop, post-loop ops.
         let first_loop = self.program.ops().iter().position(|o| o.in_main_loop);
         let last_loop = self.program.ops().iter().rposition(|o| o.in_main_loop);
@@ -700,7 +728,7 @@ impl<'a> FunctionalSim<'a> {
         cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
-        if !fastpath::enabled() {
+        if state.reference {
             return self.execute_copy_reference(op, src, dst, iteration, global, shared, regs);
         }
         let table = match state.copy_fp.get(&op.id) {
@@ -954,7 +982,7 @@ impl<'a> FunctionalSim<'a> {
         let tile = decl.tile_shape_2d();
         let total: usize = tile.iter().product();
         let mut full = vec![0.0f32; total];
-        let fast = fastpath::enabled();
+        let fast = !state.reference;
         match decl.space {
             MemSpace::Register => {
                 if fast {
@@ -1055,7 +1083,7 @@ impl<'a> FunctionalSim<'a> {
     ) -> Result<()> {
         let decl = self.program.tensor(id);
         let total: usize = decl.tile_shape_2d().iter().product();
-        if fastpath::enabled() {
+        if !state.reference {
             let table = self.tv_table(id, cache, state)?;
             let file = regs.get_mut(&id).ok_or_else(|| self.missing(id))?;
             for t in 0..table.threads {
@@ -1376,12 +1404,8 @@ mod tests {
         inputs.insert("b".to_string(), random_vec(&mut rng, n * k));
 
         let sim = FunctionalSim::new(&program, &candidate);
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
         let fast = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(false);
-        let reference = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(was_enabled);
+        let reference = sim.run_reference(&inputs).unwrap();
         // Bit-for-bit identical, not just approximately equal.
         assert_eq!(fast.len(), reference.len());
         for (name, buf) in &fast {
@@ -1439,10 +1463,7 @@ mod tests {
         // One long-lived cache serves every sibling candidate; outputs must
         // equal the per-run-cache outputs bit for bit. Siblings sharing all
         // choices for an op reuse its tables, so the cache grows by less
-        // than a full table set per candidate. Tables only exist on the fast
-        // path, so force it on for the sharing measurement.
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
+        // than a full table set per candidate.
         let cache = SimTableCache::new();
         let mut sizes = Vec::new();
         for candidate in &candidates {
@@ -1456,7 +1477,6 @@ mod tests {
             }
             sizes.push(cache.len());
         }
-        fastpath::set_enabled(was_enabled);
         let first = sizes[0];
         let last = *sizes.last().unwrap();
         assert!(first > 0, "the fast path built no tables at all: {sizes:?}");
@@ -1619,12 +1639,8 @@ mod tests {
         }
         // The fast (table-driven) and reference element paths agree bit for
         // bit on the dequant kernel too.
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
         let fast = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(false);
-        let reference = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(was_enabled);
+        let reference = sim.run_reference(&inputs).unwrap();
         for (name, buf) in &fast {
             let fast_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
             let ref_bits: Vec<u32> = reference[name].iter().map(|x| x.to_bits()).collect();

@@ -152,8 +152,8 @@ impl<'a> Synthesizer<'a> {
     /// By default the candidates are evaluated incrementally along shared
     /// choice prefixes (see [`crate::prefix`]); the full per-candidate
     /// re-evaluation stays available via
-    /// [`SynthesisOptions::incremental`]` = false` or
-    /// `HEXCUTE_DISABLE_INCREMENTAL=1` and produces bit-identical results.
+    /// [`SynthesisOptions::incremental`]` = false` and produces bit-identical
+    /// results.
     ///
     /// # Errors
     ///
@@ -198,7 +198,7 @@ impl<'a> Synthesizer<'a> {
         let mut selections = self.enumerate_selections(&plans);
         // The node budget truncates the deterministic enumeration *before*
         // either evaluation path fans out, which is what makes a truncated
-        // outcome bit-identical across worker counts and toggles. (A budget
+        // outcome bit-identical across worker counts and options. (A budget
         // of 0 is clamped to 1: the preferred selection always runs.)
         let truncated = match self.options.node_budget {
             Some(budget) if selections.len() > budget.max(1) => {
@@ -208,7 +208,7 @@ impl<'a> Synthesizer<'a> {
             _ => false,
         };
         let max = self.options.max_candidates.max(1);
-        let (finished, stats) = if self.options.incremental && crate::incremental_enabled() {
+        let (finished, stats) = if self.options.incremental {
             let (finished, stats) =
                 self.evaluate_incremental_with_stats(&base, &plans, &selections, max, token)?;
             (finished, Some(stats))
@@ -232,11 +232,11 @@ impl<'a> Synthesizer<'a> {
     }
 
     /// The reference evaluation: every candidate is materialized and its
-    /// shared-memory layouts are synthesized from scratch. When the fast
-    /// path is on the candidates are finished in parallel (order preserved);
-    /// the serial loop is the pre-fast-path behaviour. `token` (when
-    /// carried) cancels cooperatively, per candidate here and per job in
-    /// the pool — a tripped token yields [`SynthesisError::Cancelled`].
+    /// shared-memory layouts are synthesized from scratch on
+    /// [`SynthesisOptions::parallel_workers`] workers (order preserved; one
+    /// worker runs serially on the calling thread). `token` (when carried)
+    /// cancels cooperatively, per job in the pool — a tripped token yields
+    /// [`SynthesisError::Cancelled`].
     pub(crate) fn evaluate_reference(
         &self,
         base: &TvBase,
@@ -274,62 +274,44 @@ impl<'a> Synthesizer<'a> {
                 }
             }
         };
-        if hexcute_layout::fast_path_enabled() {
-            // The parallel branch finishes every selection and applies the
-            // cap afterwards (workers cannot know how many earlier
-            // selections will survive feasibility filtering); with the
-            // default `max_candidates` (larger than any enumeration) no
-            // discarded work occurs.
-            let candidates: Vec<Candidate> = selections
-                .iter()
-                .map(|sel| self.materialize_candidate(base, plans, sel))
-                .collect();
-            let finish_checked =
-                |candidate: Candidate| -> std::result::Result<Option<Candidate>, CancelReason> {
-                    if let Some(reason) = hooks::injected_stall(token) {
-                        return Err(reason);
-                    }
-                    Ok(finish(candidate))
-                };
-            let results = match token {
-                Some(tok) => hexcute_parallel::par_map_cancellable(
-                    candidates,
-                    finish_checked,
-                    hexcute_parallel::worker_count().max(1),
-                    tok,
-                )
-                .ok_or_else(|| {
-                    SynthesisError::Cancelled(tok.reason().unwrap_or(CancelReason::Shutdown))
-                })?,
-                None => hexcute_parallel::par_map(candidates, finish_checked),
-            };
-            let mut finished = Vec::with_capacity(max.min(results.len()));
-            for result in results {
-                if let Some(done) = result.map_err(SynthesisError::Cancelled)? {
-                    if finished.len() < max {
-                        finished.push(done);
-                    }
-                }
-            }
-            Ok(finished)
-        } else {
-            let mut finished = Vec::new();
-            for sel in selections {
-                if finished.len() >= max {
-                    break;
-                }
+        // Finish every selection and apply the cap afterwards (workers
+        // cannot know how many earlier selections will survive feasibility
+        // filtering); with the default `max_candidates` (larger than any
+        // enumeration) no discarded work occurs.
+        let candidates: Vec<Candidate> = selections
+            .iter()
+            .map(|sel| self.materialize_candidate(base, plans, sel))
+            .collect();
+        let finish_checked =
+            |candidate: Candidate| -> std::result::Result<Option<Candidate>, CancelReason> {
                 if let Some(reason) = hooks::injected_stall(token) {
-                    return Err(SynthesisError::Cancelled(reason));
+                    return Err(reason);
                 }
-                if let Some(reason) = hooks::poll_cancelled(token) {
-                    return Err(SynthesisError::Cancelled(reason));
-                }
-                if let Some(done) = finish(self.materialize_candidate(base, plans, sel)) {
+                Ok(finish(candidate))
+            };
+        let workers = self
+            .options
+            .parallel_workers
+            .unwrap_or_else(hexcute_parallel::worker_count)
+            .max(1);
+        let results = match token {
+            Some(tok) => {
+                hexcute_parallel::par_map_cancellable(candidates, finish_checked, workers, tok)
+                    .ok_or_else(|| {
+                        SynthesisError::Cancelled(tok.reason().unwrap_or(CancelReason::Shutdown))
+                    })?
+            }
+            None => hexcute_parallel::par_map_with_workers(candidates, finish_checked, workers),
+        };
+        let mut finished = Vec::with_capacity(max.min(results.len()));
+        for result in results {
+            if let Some(done) = result.map_err(SynthesisError::Cancelled)? {
+                if finished.len() < max {
                     finished.push(done);
                 }
             }
-            Ok(finished)
         }
+        Ok(finished)
     }
 
     /// Convenience wrapper returning only the preferred candidate.

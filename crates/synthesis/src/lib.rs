@@ -26,8 +26,8 @@
 //! default (see [`prefix`]): constraint unification and per-tensor
 //! shared-memory finishing are memoized across sibling candidates. The full
 //! per-candidate re-evaluation stays available behind
-//! [`SynthesisOptions::incremental`]` = false` /
-//! `HEXCUTE_DISABLE_INCREMENTAL=1` and is cross-checked bit-for-bit.
+//! [`SynthesisOptions::incremental`]` = false` and is cross-checked
+//! bit-for-bit.
 //!
 //! Searches can be bounded two ways: a deterministic node budget
 //! ([`SynthesisOptions::node_budget`] / `HEXCUTE_SYNTH_BUDGET`) truncates the
@@ -44,8 +44,8 @@
 //! cut, and the winner is bit-identical to the exhaustive argmin. An
 //! optional deterministic beam ([`SynthesisOptions::beam_width`] /
 //! `HEXCUTE_SYNTH_BEAM`) truncates per-depth frontiers by bound rank —
-//! lossy, but bit-identical across worker counts. The process-wide kill
-//! switch is [`set_pruning`] / `HEXCUTE_DISABLE_PRUNE`.
+//! lossy, but bit-identical across worker counts. The exhaustive ranking
+//! stays available behind [`SynthesisOptions::prune`]` = false`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,10 +56,8 @@ mod constraints;
 mod engine;
 mod error;
 pub mod hooks;
-mod incremental;
 mod options;
 pub mod prefix;
-mod pruning;
 mod smem;
 
 pub use bound::{PlanAlternatives, PrunedOutcome, SearchBounder, SearchSpace};
@@ -72,11 +70,25 @@ pub use engine::{SynthesisOutcome, Synthesizer};
 pub use error::{Result, SynthesisError};
 pub use hexcute_parallel::cancel::{CancelReason, CancelToken};
 pub use hooks::{set_synth_fault_hook, SynthFaultHook, SynthFaultPoint};
-pub use incremental::{incremental_enabled, set_incremental};
 pub use options::SynthesisOptions;
 pub use prefix::{PrefixStats, TensorSlotInterner};
-pub use pruning::{prune_enabled, set_pruning};
 pub use smem::{
     bank_conflict_degree, synthesize_smem_layouts, ConstraintError, ConstraintMode,
     LayoutConstraint,
 };
+
+/// Always `true`: the incremental search is selected per call by
+/// [`SynthesisOptions::incremental`] alone. Kept only because the repository
+/// benchmark (`perfbench/src/staged.rs`) still calls it.
+#[doc(hidden)]
+pub fn incremental_enabled() -> bool {
+    true
+}
+
+/// Always `true`: pruning is selected per call by
+/// [`SynthesisOptions::prune`] alone. Kept only because the repository
+/// benchmark (`perfbench/src/staged.rs`) still calls it.
+#[doc(hidden)]
+pub fn prune_enabled() -> bool {
+    true
+}

@@ -34,10 +34,9 @@ pub struct SynthesisOptions {
     pub allow_non_power_of_two_tiles: bool,
     /// Evaluate candidates with the shared-prefix incremental search (memoized
     /// constraint unification and shared-memory synthesis along shared choice
-    /// prefixes). When `false` — or when the process-wide switch is off, see
-    /// [`crate::set_incremental`] / `HEXCUTE_DISABLE_INCREMENTAL` — every
-    /// candidate is re-evaluated from scratch (the pre-PR-2 reference
-    /// behaviour). Both paths produce bit-identical candidate lists.
+    /// prefixes). When `false`, every candidate is re-evaluated from scratch
+    /// (the reference the incremental search is cross-checked against). Both
+    /// paths produce bit-identical candidate lists.
     pub incremental: bool,
     /// Depth at which the incremental search splits the choice tree into
     /// independent subtrees evaluated in parallel on the persistent worker
@@ -66,9 +65,11 @@ pub struct SynthesisOptions {
     /// lower bound (from [`crate::SearchBounder`]) cannot beat the incumbent
     /// best score. Pruning is *lossless* — the winning candidate and its
     /// score are bit-identical to exhaustive search — so, like
-    /// `incremental`, this toggle is excluded from the stable hash. The
-    /// process-wide kill switch is [`crate::set_pruning`] /
-    /// `HEXCUTE_DISABLE_PRUNE`; the compiler prunes only when both are on.
+    /// `incremental`, this toggle is excluded from the stable hash. When
+    /// `false`, the compiler ranks every candidate exhaustively (the
+    /// reference the pruned search is cross-checked against). The pruned
+    /// walk rides on the incremental search, so the compiler prunes only
+    /// when `incremental` is on too.
     pub prune: bool,
     /// Deterministic beam width for the pruned search: at each choice depth,
     /// keep only the `width` distinct prefixes with the best completion

@@ -182,12 +182,6 @@ fn parallel_walk_is_bit_identical_across_worker_counts_and_depths() {
 /// fall back to serial), which the stats expose.
 #[test]
 fn parallel_walk_reports_subtrees_and_workers() {
-    if !hexcute_synthesis::incremental_enabled() {
-        // The reference-paths CI leg disables the incremental search
-        // process-wide (`HEXCUTE_DISABLE_INCREMENTAL=1`); there is no walk
-        // to introspect then.
-        return;
-    }
     let program = staged_gemm(64, 64, 32);
     let arch = GpuArch::a100();
     let (candidates, stats) = Synthesizer::new(
