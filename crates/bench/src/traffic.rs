@@ -4,11 +4,10 @@
 //! Eight tenants replay a bursty request stream — thousands of requests
 //! over the per-decode-step kernels of all five Fig. 13 models, each tenant
 //! cycling its model's kernels so the stream mixes cold synthesis with warm
-//! hits and exhibits the recurring fingerprint transitions the speculative
-//! prefetcher mines. Roughly one request in ten rides the
-//! [`Priority::Background`] class; the rest are latency-critical. Four
-//! submitter threads interleave tenant bursts with short lulls (the lulls
-//! are when spare admission capacity exists for prefetch jobs).
+//! hits. Roughly one request in ten rides the [`Priority::Background`]
+//! class; the rest are latency-critical. Four submitter threads interleave
+//! tenant bursts with short jittered lulls, so the submitters drift apart
+//! and their bursts overlap in varying ways.
 //!
 //! Reported per class: p50/p99/p999 client-observed latency, plus the
 //! queue-depth, slot-utilization and hit-rate counters that stay meaningful
@@ -23,11 +22,11 @@
 //!    outside the periodic anti-starvation boost.
 //! 2. **No starved tenant** — every tenant completes every one of its
 //!    requests.
-//! 3. **Speculation earns hits** — at least one demand request is served
-//!    from a warm-tier entry placed there by the prefetcher.
-//! 4. **Bit-identical artifacts** — every served artifact equals a freshly
+//! 3. **Bit-identical artifacts** — every served artifact equals a freshly
 //!    compiled reference for its fingerprint, so priority/tenant scheduling
 //!    (at any `HEXCUTE_THREADS`) never changes what is served.
+//! 4. **Queue drained** — no request is left parked in the admission queue
+//!    once the submitters have finished.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -58,23 +57,21 @@ pub struct TrafficConfig {
     pub submitters: usize,
     /// Consecutive same-tenant requests per burst.
     pub burst: usize,
-    /// Pause between bursts (spare capacity for prefetch jobs).
+    /// Pause between bursts (plus up to 1 ms of jitter, so the submitters
+    /// desynchronize).
     pub lull: Duration,
     /// Admission: concurrent synthesis slots.
     pub max_concurrent: usize,
     /// Per-tenant in-flight cap (0 = no quota).
     pub tenant_quota: usize,
     /// Memory-tier capacity; deliberately smaller than the distinct
-    /// working set so warm entries spill to disk and the prefetcher has
-    /// promotions to win.
+    /// working set so warm entries spill to disk and the replay exercises
+    /// both cache tiers.
     pub memory_capacity: usize,
     /// Percentage of requests submitted as [`Priority::Background`].
     pub background_percent: u64,
     /// Replay seed (class choice and lull jitter).
     pub seed: u64,
-    /// Fail the run unless `prefetch_hits > 0`. The full-size replay must
-    /// earn speculative hits; scaled-down smoke runs may legitimately not.
-    pub require_prefetch_hits: bool,
 }
 
 impl Default for TrafficConfig {
@@ -90,7 +87,6 @@ impl Default for TrafficConfig {
             memory_capacity: 8,
             background_percent: 10,
             seed: 0x7261_ffff_5eed,
-            require_prefetch_hits: true,
         }
     }
 }
@@ -133,8 +129,6 @@ pub struct TrafficResult {
     /// 1-CPU-meaningful utilization figure (scheduling time, not
     /// parallel speedup).
     pub slot_utilization: f64,
-    /// Share of memory-tier hits that the prefetcher placed there.
-    pub prefetch_hit_share: f64,
     /// Served artifacts that differed from the fresh-compile reference
     /// (must be 0).
     pub mismatches: u64,
@@ -221,7 +215,6 @@ pub fn run(config: &TrafficConfig) -> TrafficResult {
             background_queue_capacity: 512,
             tenant_quota: config.tenant_quota,
             boost_interval: 4,
-            prefetch: true,
             seed: 42,
             ..ServiceConfig::default()
         },
@@ -258,9 +251,7 @@ pub fn run(config: &TrafficConfig) -> TrafficResult {
                 let mut rng = config.seed ^ (submitter as u64) << 32;
                 barrier.wait();
                 // Each tenant's stream is consumed in bursts of consecutive
-                // requests so the fingerprint walk is visible to the
-                // prefetcher's transition model; lulls between bursts leave
-                // spare admission capacity for the prefetch jobs.
+                // requests, with a lull between bursts.
                 let mut next = vec![0usize; owned.len()];
                 loop {
                     let mut progressed = false;
@@ -329,8 +320,6 @@ pub fn run(config: &TrafficConfig) -> TrafficResult {
         worker.join().expect("submitter threads must complete");
     }
     let wall = started.elapsed();
-    // Let in-flight prefetch jobs settle before sampling the counters.
-    hexcute_parallel::wait_background_idle(Duration::from_secs(10));
     let stats = service.stats();
 
     // Bit-identity: every served artifact must equal a fresh compile of its
@@ -376,12 +365,6 @@ pub fn run(config: &TrafficConfig) -> TrafficResult {
             stats.priority_inversions
         ),
     );
-    if config.require_prefetch_hits {
-        checks::check(
-            stats.prefetch_hits > 0,
-            "the speculative prefetcher must earn at least one warm-tier demand hit",
-        );
-    }
     checks::check(
         mismatches == 0,
         &format!("{mismatches} served artifacts diverged from the fresh-compile reference"),
@@ -412,7 +395,6 @@ pub fn run(config: &TrafficConfig) -> TrafficResult {
         from_coalesced: tier_counts[3].load(Ordering::Relaxed),
         hit_rate: (from_memory + from_disk) as f64 / requests.max(1) as f64,
         slot_utilization: (synth_busy_us.load(Ordering::Relaxed) as f64 / 1e6) / slot_budget,
-        prefetch_hit_share: stats.prefetch_hits as f64 / from_memory.max(1) as f64,
         mismatches,
         requests_per_sec: requests as f64 / wall.as_secs_f64().max(1e-9),
         wall_s: wall.as_secs_f64(),
@@ -442,10 +424,7 @@ pub fn to_json(config: &TrafficConfig, r: &TrafficResult) -> String {
          \"wall_s\": {:.2}\n  }},\n  \"scheduling\": {{\n    \"max_queue_depth\": {},\n    \
          \"background_requests\": {},\n    \"background_boosts\": {},\n    \
          \"priority_inversions\": {},\n    \"shed\": {},\n    \"coalesced\": {},\n    \
-         \"syntheses\": {}\n  }},\n  \"prefetch\": {{\n    \"issued\": {},\n    \
-         \"warmed\": {},\n    \"dropped\": {},\n    \"hits\": {},\n    \
-         \"warm_hit_share\": {:.4},\n    \"stores\": {}\n  }},\n  \
-         \"determinism\": {{\n    \"mismatches\": {}\n  }},\n  \
+         \"syntheses\": {}\n  }},\n  \"determinism\": {{\n    \"mismatches\": {}\n  }},\n  \
          \"checks\": {{ \"passed\": {}, \"failed\": {} }}\n}}\n",
         hexcute_parallel::worker_count(),
         std::thread::available_parallelism()
@@ -476,12 +455,6 @@ pub fn to_json(config: &TrafficConfig, r: &TrafficResult) -> String {
         s.shed,
         s.coalesced,
         s.syntheses,
-        s.prefetch_issued,
-        s.prefetch_warmed,
-        s.prefetch_dropped,
-        s.prefetch_hits,
-        r.prefetch_hit_share,
-        s.cache.prefetch_stores,
         r.mismatches,
         checks::passes(),
         checks::failures(),
@@ -500,9 +473,6 @@ mod tests {
             submitters: 2,
             burst: 10,
             lull: Duration::from_millis(1),
-            // Smoke scale: two tenants can't be expected to earn
-            // speculative hits in 60 requests.
-            require_prefetch_hits: false,
             ..TrafficConfig::default()
         };
         let before = checks::failures();
@@ -522,7 +492,6 @@ mod tests {
             "\"p999_ms\"",
             "\"slot_utilization\"",
             "\"max_queue_depth\"",
-            "\"warm_hit_share\"",
             "\"mismatches\"",
         ] {
             assert!(json.contains(key), "JSON must contain {key}: {json}");

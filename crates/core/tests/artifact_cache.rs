@@ -502,56 +502,3 @@ fn fingerprints_separate_programs_arches_and_options() {
     };
     assert_eq!(base, artifact_fingerprint(&gemm, &a100, &parallel));
 }
-
-#[test]
-fn prefetch_warms_the_memory_tier_without_demand_counters() {
-    let dir = unique_temp_dir("prefetch");
-    let program = fp16_gemm(GemmShape::new(256, 256, 128), GemmConfig::default()).unwrap();
-    let compiler = Compiler::new(GpuArch::a100());
-
-    // Seed the disk store, then restart with an empty memory front.
-    let seed_cache = KernelCache::new(disk_config(&dir));
-    let (artifact, _) = compiler.compile_with_cache(&program, &seed_cache).unwrap();
-    let fingerprint = artifact.fingerprint;
-    drop(seed_cache);
-
-    let cache = KernelCache::new(disk_config(&dir));
-    assert!(!cache.peek_memory(fingerprint));
-    // Prefetch promotes the on-disk artifact into the warm tier; the
-    // synthesize closure must not run.
-    let warmed = cache.prefetch_with(fingerprint, || {
-        panic!("a disk-resident artifact must be promoted, not re-synthesized")
-    });
-    assert!(warmed);
-    assert!(cache.peek_memory(fingerprint));
-    let stats = cache.stats();
-    assert_eq!(stats.prefetch_stores, 1, "{stats}");
-    assert_eq!(
-        (stats.disk_hits, stats.disk_misses, stats.memory.hits),
-        (0, 0, 0),
-        "speculative work must not be attributed to demand counters: {stats}"
-    );
-    // The demand request that follows is a plain memory hit, bit-identical.
-    let (hit, source) = cache.get(fingerprint).expect("prefetched artifact");
-    assert_eq!(source, ArtifactSource::Memory);
-    assert_eq!(*hit, *artifact);
-
-    // A full miss falls back to the caller's synthesize closure...
-    let other = fp16_gemm(GemmShape::new(256, 256, 256), GemmConfig::default()).unwrap();
-    let other_fp = hexcute_core::artifact_fingerprint(
-        &other,
-        compiler.arch(),
-        &hexcute_core::CompilerOptions::new(),
-    );
-    let warmed = cache.prefetch_with(other_fp, || {
-        Some(Arc::new(compiler.compile_artifact(&other).unwrap()))
-    });
-    assert!(warmed);
-    assert!(cache.peek_memory(other_fp));
-    assert_eq!(cache.stats().prefetch_stores, 2);
-    // ...and a cancelled speculative synthesis leaves the cache untouched.
-    let missing = 0xdead_beef_u64;
-    assert!(!cache.prefetch_with(missing, || None));
-    assert!(!cache.peek_memory(missing));
-    std::fs::remove_dir_all(&dir).ok();
-}

@@ -1,4 +1,4 @@
-//! A batched compile service over the persistent kernel-artifact cache.
+//! A compile service over the persistent kernel-artifact cache.
 //!
 //! The serving loop (see [`crate::decode_latency_ms_with`]) issues the *same* few dozen
 //! kernel compilations over and over — per decode step, per process start,
@@ -12,9 +12,6 @@
 //!   single in-flight synthesis instead of each running the search: the
 //!   first requester synthesizes, the rest block on its completion and
 //!   share the resulting artifact.
-//! * **Batching.** [`CompileService::compile_batch`] fans *distinct*
-//!   requests out across the PR 3 persistent worker pool; duplicates within
-//!   a batch deduplicate through the coalescing path.
 //! * **Admission control & fault tolerance** (PR 6). A [`ServiceConfig`]
 //!   bounds concurrent syntheses plus a pending queue (full queue → typed
 //!   load shedding via [`CompileError::Overloaded`]), enforces per-request
@@ -45,11 +42,9 @@
 //!   ticket order within a class (no `notify_one` starvation) with
 //!   periodic background boosts so autotune traffic is never starved,
 //!   per-[`TenantId`] weighted fair scheduling with optional quotas
-//!   (`HEXCUTE_SERVICE_TENANT_QUOTA`), per-class load shedding, and
-//!   **speculative precompilation**: the request stream is mined for
-//!   recurring fingerprint transitions and predicted successors are
-//!   prefetched into the warm cache tier on spare pool capacity
-//!   ([`hexcute_parallel::spawn_background`]) before they are requested.
+//!   (`HEXCUTE_SERVICE_TENANT_QUOTA`), and per-class load shedding. The
+//!   service compiles only what a request asks for; nothing is compiled
+//!   speculatively.
 //!
 //! ```
 //! use hexcute_arch::{DType, GpuArch};
@@ -182,8 +177,6 @@ impl fmt::Display for TenantId {
 const LATENCY: usize = 0;
 /// Queue index of [`Priority::Background`].
 const BACKGROUND: usize = 1;
-/// The pseudo-tenant that speculative prefetch slots are accounted to.
-const PREFETCH_TENANT: TenantId = TenantId(u32::MAX);
 
 /// One served compilation: the (shared) artifact plus how it was obtained.
 #[derive(Debug, Clone)]
@@ -228,10 +221,10 @@ pub struct ServiceConfig {
     /// of the latency queue — bounded starvation for the background class.
     /// `0` disables boosting (strict priority).
     pub boost_interval: u64,
-    /// Enables speculative precompilation: mine the request stream for
-    /// recurring fingerprint transitions and warm predicted successors in
-    /// the background on spare capacity. Off by default so synthesis counts
-    /// stay exact for callers that assert them.
+    /// Unused: the service never compiles speculatively.
+    // Kept only because `perfbench/src/serve.rs` sets it; remove both
+    // together.
+    #[doc(hidden)]
     pub prefetch: bool,
     /// Per-request deadline, enforced while queued for admission, while
     /// waiting on a coalesced in-flight synthesis, *and* — since PR 8 —
@@ -342,7 +335,6 @@ impl ServiceConfig {
     /// | `HEXCUTE_SERVICE_BG_QUEUE_CAPACITY` | background-class queue capacity before shedding | 64 |
     /// | `HEXCUTE_SERVICE_TENANT_QUOTA` | synthesis slots one tenant may hold (`0` = no quota) | 0 |
     /// | `HEXCUTE_SERVICE_BOOST_INTERVAL` | latency grants between background boosts (`0` = strict priority) | 4 |
-    /// | `HEXCUTE_SERVICE_PREFETCH` | nonzero enables speculative precompilation | 0 |
     /// | `HEXCUTE_SERVICE_DEADLINE_MS` | per-request deadline in milliseconds (`0` = none) | unset → none |
     /// | `HEXCUTE_WATCHDOG_MS` | per-synthesis watchdog in milliseconds (`0` = none) | unset → none |
     /// | `HEXCUTE_SERVICE_RETRIES` | transient-failure retries | 2 |
@@ -366,7 +358,6 @@ impl ServiceConfig {
             ),
             tenant_quota: env_setting("HEXCUTE_SERVICE_TENANT_QUOTA", defaults.tenant_quota),
             boost_interval: env_setting("HEXCUTE_SERVICE_BOOST_INTERVAL", defaults.boost_interval),
-            prefetch: env_setting::<u64>("HEXCUTE_SERVICE_PREFETCH", 0) != 0,
             deadline: duration_ms("HEXCUTE_SERVICE_DEADLINE_MS"),
             watchdog: duration_ms("HEXCUTE_WATCHDOG_MS"),
             max_retries: env_setting("HEXCUTE_SERVICE_RETRIES", defaults.max_retries),
@@ -375,7 +366,7 @@ impl ServiceConfig {
                 defaults.retry_backoff.as_millis() as u64,
             )),
             seed: env_setting("HEXCUTE_SERVICE_SEED", defaults.seed),
-            faults: defaults.faults,
+            ..defaults
         }
     }
 }
@@ -737,36 +728,6 @@ impl Admission {
         }
     }
 
-    /// A slot for speculative work, granted only from genuinely *spare*
-    /// capacity: a free slot while **both** class queues are empty.
-    /// Speculation never displaces or delays a demand request; the slot is
-    /// accounted to [`PREFETCH_TENANT`] so quotas and fairness see it.
-    fn try_acquire_spare(&self) -> Option<AdmissionPermit<'_>> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        if self.max_concurrent == 0 {
-            return Some(AdmissionPermit {
-                admission: None,
-                tenant: PREFETCH_TENANT,
-            });
-        }
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if state.active < self.max_concurrent
-            && state.queues[LATENCY].is_empty()
-            && state.queues[BACKGROUND].is_empty()
-        {
-            state.active += 1;
-            *state.active_per_tenant.entry(PREFETCH_TENANT).or_insert(0) += 1;
-            Some(AdmissionPermit {
-                admission: Some(self),
-                tenant: PREFETCH_TENANT,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Requests currently parked waiting for a slot (both classes).
     fn queue_depth(&self) -> usize {
         let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -778,14 +739,12 @@ impl Admission {
 /// [`CompileService::stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Requests served (including batch members).
+    /// Requests served.
     pub requests: u64,
     /// Requests that joined another request's in-flight synthesis.
     pub coalesced: u64,
     /// Syntheses actually executed.
     pub syntheses: u64,
-    /// [`CompileService::compile_batch`] invocations.
-    pub batches: u64,
     /// Requests shed because the admission queue was full.
     pub shed: u64,
     /// Requests that gave up on their deadline (queued or coalesced).
@@ -821,15 +780,15 @@ pub struct ServiceStats {
     /// outside a boost. Zero by construction — a scheduling-invariant probe
     /// asserted by the traffic bench.
     pub priority_inversions: u64,
-    /// Speculative prefetches issued (predicted successor not already warm).
+    /// Always 0: the service never compiles speculatively.
+    // Kept only because `perfbench/src/serve.rs` reports it; remove both
+    // together.
+    #[doc(hidden)]
     pub prefetch_issued: u64,
-    /// Prefetches that left their fingerprint warm in the memory tier.
-    pub prefetch_warmed: u64,
-    /// Prefetches dropped without warming (no spare capacity, cancelled,
-    /// program unknown, or lost to a concurrent demand synthesis).
-    pub prefetch_dropped: u64,
-    /// Demand memory hits whose entry was put there by a prefetch — the
-    /// "warm-hit share" the speculation actually earned.
+    /// Always 0: the service never compiles speculatively.
+    // Kept only because `perfbench/src/serve.rs` reports it; remove both
+    // together.
+    #[doc(hidden)]
     pub prefetch_hits: u64,
     /// The artifact cache's counters.
     pub cache: KernelCacheStats,
@@ -839,14 +798,12 @@ impl fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} requests ({} coalesced, {} batches, {} background), {} syntheses, \
+            "{} requests ({} coalesced, {} background), {} syntheses, \
              {} shed, {} deadline-exceeded, {} retries, {} synth-panics, \
              {} cancelled ({} watchdog trips, {} shutdown-drained), \
-             queue {} (max {}), {} boosts, {} inversions, \
-             prefetch {}/{} warmed ({} dropped, {} hits); artifact cache: {}",
+             queue {} (max {}), {} boosts, {} inversions; artifact cache: {}",
             self.requests,
             self.coalesced,
-            self.batches,
             self.background_requests,
             self.syntheses,
             self.shed,
@@ -860,10 +817,6 @@ impl fmt::Display for ServiceStats {
             self.max_queue_depth,
             self.background_boosts,
             self.priority_inversions,
-            self.prefetch_warmed,
-            self.prefetch_issued,
-            self.prefetch_dropped,
-            self.prefetch_hits,
             self.cache
         )
     }
@@ -1087,97 +1040,21 @@ impl Supervisor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Speculative precompilation.
-// ---------------------------------------------------------------------------
-
-/// Consecutive observations of a fingerprint transition before its successor
-/// is considered a prediction worth prefetching.
-const PREFETCH_MIN_OBSERVATIONS: u32 = 2;
-/// Programs retained for speculative re-synthesis (a fingerprint whose
-/// program was never captured can still be warmed by disk promotion).
-const PREFETCH_PROGRAM_CAP: usize = 512;
-
-/// The request-stream miner behind speculative precompilation: a first-order
-/// Markov model over artifact fingerprints. Serving traffic repeats short
-/// sequences (the per-decode-step kernel set of a model), so after a
-/// transition `A → B` has been seen [`PREFETCH_MIN_OBSERVATIONS`] times, a
-/// request for `A` predicts `B` and a background job warms `B` — disk
-/// promotion or a full speculative synthesis — on *spare* capacity
-/// ([`Admission::try_acquire_spare`], [`hexcute_parallel::spawn_background`])
-/// before `B` is requested.
-struct PrefetchState {
-    /// `transitions[a][b]` = times a request for `b` directly followed one
-    /// for `a` (self-transitions excluded).
-    transitions: Mutex<HashMap<u64, HashMap<u64, u32>>>,
-    /// The previous request's fingerprint (the Markov state).
-    last_fingerprint: Mutex<Option<u64>>,
-    /// Programs seen so far, for speculative re-synthesis of cold
-    /// predictions. Bounded by [`PREFETCH_PROGRAM_CAP`].
-    programs: Mutex<HashMap<u64, Program>>,
-    /// Fingerprints with a prefetch job currently queued or running
-    /// (dedup so a hot transition does not fan out duplicate jobs).
-    inflight: Mutex<HashSet<u64>>,
-    /// Fingerprints whose memory-tier entry was placed by a prefetch and
-    /// not yet claimed by a demand hit; a demand memory hit that removes
-    /// one counts as a `prefetch_hits`.
-    warmed: Mutex<HashSet<u64>>,
-    /// Trips on service shutdown: in-flight speculative syntheses abort and
-    /// no new ones start.
-    cancel: CancelToken,
-    issued: AtomicU64,
-    warmed_count: AtomicU64,
-    dropped: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl fmt::Debug for PrefetchState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PrefetchState")
-            .field("issued", &self.issued.load(Ordering::Relaxed))
-            .field("warmed", &self.warmed_count.load(Ordering::Relaxed))
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl PrefetchState {
-    fn new() -> Self {
-        PrefetchState {
-            transitions: Mutex::new(HashMap::new()),
-            last_fingerprint: Mutex::new(None),
-            programs: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashSet::new()),
-            warmed: Mutex::new(HashSet::new()),
-            cancel: CancelToken::new(),
-            issued: AtomicU64::new(0),
-            warmed_count: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A compile front-end for one target architecture: an artifact cache, a
-/// request-coalescing layer and pool-backed batch compilation. The service
-/// is `Sync` — one instance serves concurrent requests from many threads.
+/// request-coalescing layer and admission control. The service is `Sync` —
+/// one instance serves concurrent requests from many threads.
 /// See the [module docs](self) for the serving rationale and an example.
 #[derive(Debug)]
 pub struct CompileService {
-    // `Arc`s so speculative background jobs can hold `Weak` handles that
-    // die with the service instead of borrowing from it.
-    compiler: Arc<Compiler>,
-    cache: Arc<KernelCache>,
+    compiler: Compiler,
+    cache: KernelCache,
     config: ServiceConfig,
-    admission: Arc<Admission>,
-    prefetch: Option<Arc<PrefetchState>>,
+    admission: Admission,
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
     requests: AtomicU64,
     background_requests: AtomicU64,
     coalesced: AtomicU64,
     syntheses: AtomicU64,
-    batches: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
     retries: AtomicU64,
@@ -1224,25 +1101,17 @@ impl CompileService {
     ) -> Self {
         faults::install_global_pool_hook();
         faults::install_global_synth_hook();
-        let cache = Arc::new(KernelCache::with_faults(
-            cache_config,
-            config.faults.clone(),
-        ));
-        let admission = Arc::new(Admission::new(&config));
-        let prefetch = config.prefetch.then(|| Arc::new(PrefetchState::new()));
-        let supervisor = Arc::new(Supervisor::new(config.watchdog));
         CompileService {
-            compiler: Arc::new(Compiler::with_options(arch, options)),
-            cache,
+            compiler: Compiler::with_options(arch, options),
+            cache: KernelCache::with_faults(cache_config, config.faults.clone()),
+            admission: Admission::new(&config),
+            supervisor: Arc::new(Supervisor::new(config.watchdog)),
             config,
-            admission,
-            prefetch,
             inflight: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             background_requests: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             syntheses: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -1250,7 +1119,6 @@ impl CompileService {
             cancelled: AtomicU64::new(0),
             shutdown_drained: AtomicU64::new(0),
             jitter_ticket: AtomicU64::new(0),
-            supervisor,
             shutdown: AtomicBool::new(false),
             cancel_free: Mutex::new(Vec::new()),
         }
@@ -1325,7 +1193,6 @@ impl CompileService {
             });
         }
         let fingerprint = self.compiler.artifact_fingerprint(program);
-        self.observe_for_prefetch(fingerprint, program);
         let start = Instant::now();
         let deadline = self.config.deadline.map(|d| start + d);
         let mut attempt = 0usize;
@@ -1387,141 +1254,6 @@ impl CompileService {
         exp + jitter
     }
 
-    /// Feeds one request into the prefetch miner and spawns background
-    /// warmers for any successor predicted by the transition model. No-op
-    /// unless [`ServiceConfig::prefetch`] is enabled.
-    fn observe_for_prefetch(&self, fingerprint: u64, program: &Program) {
-        let Some(prefetch) = &self.prefetch else {
-            return;
-        };
-        if prefetch.cancel.is_cancelled() {
-            return;
-        }
-        {
-            let mut programs = prefetch.programs.lock().unwrap_or_else(|p| p.into_inner());
-            if programs.len() < PREFETCH_PROGRAM_CAP || programs.contains_key(&fingerprint) {
-                programs.insert(fingerprint, program.clone());
-            }
-        }
-        let previous = prefetch
-            .last_fingerprint
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .replace(fingerprint);
-        let predictions: Vec<u64> = {
-            let mut transitions = prefetch
-                .transitions
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            if let Some(prev) = previous {
-                if prev != fingerprint {
-                    *transitions
-                        .entry(prev)
-                        .or_default()
-                        .entry(fingerprint)
-                        .or_insert(0) += 1;
-                }
-            }
-            transitions
-                .get(&fingerprint)
-                .map(|successors| {
-                    successors
-                        .iter()
-                        .filter(|(_, &count)| count >= PREFETCH_MIN_OBSERVATIONS)
-                        .map(|(&fp, _)| fp)
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        for predicted in predictions {
-            self.spawn_prefetch(prefetch, predicted);
-        }
-    }
-
-    /// Queues a background job that warms `fingerprint` — disk promotion or
-    /// a speculative synthesis — if spare admission capacity exists when
-    /// the job runs. Holds only `Weak` handles so a dropped service (or its
-    /// shutdown cancel) quietly retires pending jobs.
-    fn spawn_prefetch(&self, prefetch: &Arc<PrefetchState>, fingerprint: u64) {
-        if self.cache.peek_memory(fingerprint) {
-            return;
-        }
-        if !prefetch
-            .inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(fingerprint)
-        {
-            return;
-        }
-        prefetch.issued.fetch_add(1, Ordering::Relaxed);
-        let prefetch = Arc::downgrade(prefetch);
-        let cache = Arc::downgrade(&self.cache);
-        let compiler = Arc::downgrade(&self.compiler);
-        let admission = Arc::downgrade(&self.admission);
-        hexcute_parallel::spawn_background(move || {
-            let (Some(prefetch), Some(cache), Some(compiler), Some(admission)) = (
-                prefetch.upgrade(),
-                cache.upgrade(),
-                compiler.upgrade(),
-                admission.upgrade(),
-            ) else {
-                return;
-            };
-            let mut warmed = false;
-            if !prefetch.cancel.is_cancelled() {
-                if let Some(permit) = admission.try_acquire_spare() {
-                    let program = prefetch
-                        .programs
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get(&fingerprint)
-                        .cloned();
-                    warmed = cache.prefetch_with(fingerprint, || {
-                        let program = program?;
-                        compiler
-                            .compile_artifact_cancellable(&program, Some(&prefetch.cancel))
-                            .ok()
-                            .map(Arc::new)
-                    });
-                    drop(permit);
-                }
-            }
-            if warmed {
-                prefetch.warmed_count.fetch_add(1, Ordering::Relaxed);
-                prefetch
-                    .warmed
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(fingerprint);
-            } else {
-                prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            prefetch
-                .inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&fingerprint);
-        });
-    }
-
-    /// Attributes a demand memory hit to the prefetch that placed it, if
-    /// one did (the "did speculation actually earn anything" counter).
-    fn note_cache_hit(&self, fingerprint: u64, source: ArtifactSource) {
-        let Some(prefetch) = &self.prefetch else {
-            return;
-        };
-        if source == ArtifactSource::Memory
-            && prefetch
-                .warmed
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&fingerprint)
-        {
-            prefetch.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// One admission-gated attempt at serving `fingerprint`.
     fn compile_attempt(
         &self,
@@ -1534,7 +1266,6 @@ impl CompileService {
     ) -> Result<CompileResponse, CompileError> {
         loop {
             if let Some((artifact, source)) = self.cache.get(fingerprint) {
-                self.note_cache_hit(fingerprint, source);
                 return Ok(CompileResponse {
                     artifact,
                     served_from: source.into(),
@@ -1554,7 +1285,6 @@ impl CompileService {
                 // cache *before* retiring its in-flight entry, so a request
                 // arriving in between must not start a second synthesis.
                 if let Some((artifact, source)) = self.cache.get(fingerprint) {
-                    self.note_cache_hit(fingerprint, source);
                     return Ok(CompileResponse {
                         artifact,
                         served_from: source.into(),
@@ -1697,32 +1427,6 @@ impl CompileService {
         }
     }
 
-    /// Serves a batch of compilations concurrently on the persistent worker
-    /// pool. Distinct fingerprints synthesize in parallel; duplicate
-    /// fingerprints within the batch coalesce onto one synthesis. Results
-    /// are returned in request order.
-    pub fn compile_batch(
-        &self,
-        programs: Vec<Program>,
-    ) -> Vec<Result<CompileResponse, CompileError>> {
-        self.compile_batch_as(programs, Priority::LatencyCritical, TenantId::default())
-    }
-
-    /// [`CompileService::compile_batch`] with an explicit scheduling class
-    /// and tenant for every member (autotune sweeps submit as
-    /// [`Priority::Background`] so they never crowd out decode compiles).
-    pub fn compile_batch_as(
-        &self,
-        programs: Vec<Program>,
-        priority: Priority,
-        tenant: TenantId,
-    ) -> Vec<Result<CompileResponse, CompileError>> {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        hexcute_parallel::par_map(programs, |program| {
-            self.compile_as(&program, priority, tenant)
-        })
-    }
-
     /// Gracefully shuts the service down: new requests are rejected with a
     /// typed shutdown cancellation, parked admission waiters drain out with
     /// the same error, every in-flight synthesis is cooperatively
@@ -1732,11 +1436,6 @@ impl CompileService {
     pub fn shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
-        }
-        if let Some(prefetch) = &self.prefetch {
-            // Speculative work aborts too: queued background jobs see the
-            // cancel and retire without compiling.
-            prefetch.cancel.cancel(CancelReason::Shutdown);
         }
         self.supervisor.cancel_all_for_shutdown();
         self.admission.shutdown();
@@ -1779,7 +1478,6 @@ impl CompileService {
             requests: self.requests.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             syntheses: self.syntheses.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
@@ -1792,22 +1490,8 @@ impl CompileService {
             background_requests: self.background_requests.load(Ordering::Relaxed),
             background_boosts: self.admission.background_boosts.load(Ordering::Relaxed),
             priority_inversions: self.admission.priority_inversions.load(Ordering::Relaxed),
-            prefetch_issued: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.issued.load(Ordering::Relaxed)),
-            prefetch_warmed: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.warmed_count.load(Ordering::Relaxed)),
-            prefetch_dropped: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.dropped.load(Ordering::Relaxed)),
-            prefetch_hits: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.hits.load(Ordering::Relaxed)),
+            prefetch_issued: 0,
+            prefetch_hits: 0,
             cache: self.cache.stats(),
         }
     }
@@ -1869,29 +1553,6 @@ mod tests {
         for artifact in &artifacts[1..] {
             assert_eq!(**artifact, *artifacts[0]);
         }
-    }
-
-    #[test]
-    fn batch_deduplicates_and_preserves_order() {
-        let service = CompileService::new(GpuArch::a100());
-        let a = small_program("batch_a");
-        let b = small_program("batch_b");
-        let batch = vec![a.clone(), b.clone(), a.clone(), b.clone(), a.clone()];
-        let responses = service.compile_batch(batch);
-        assert_eq!(responses.len(), 5);
-        let artifacts: Vec<_> = responses.into_iter().map(|r| r.unwrap().artifact).collect();
-        assert_eq!(artifacts[0].kernel, "batch_a");
-        assert_eq!(artifacts[1].kernel, "batch_b");
-        assert_eq!(*artifacts[0], *artifacts[2]);
-        assert_eq!(*artifacts[0], *artifacts[4]);
-        assert_eq!(*artifacts[1], *artifacts[3]);
-        let stats = service.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.requests, 5);
-        assert_eq!(
-            stats.syntheses, 2,
-            "three duplicate requests must be served without re-synthesis: {stats}"
-        );
     }
 
     #[test]
@@ -1963,17 +1624,12 @@ mod tests {
 
         let service =
             CompileService::with_config(GpuArch::h100(), CompilerOptions::new(), config.clone());
-        // A batch over both families: two syntheses, duplicates coalesce.
-        let responses = service.compile_batch(vec![
-            quant.clone(),
-            grouped.clone(),
-            quant.clone(),
-            grouped.clone(),
-        ]);
-        let artifacts: Vec<_> = responses.into_iter().map(|r| r.unwrap().artifact).collect();
+        // One synthesis per family.
+        let artifacts: Vec<_> = [&quant, &grouped]
+            .into_iter()
+            .map(|program| service.compile(program).unwrap().artifact)
+            .collect();
         assert_eq!(service.stats().syntheses, 2);
-        assert_eq!(*artifacts[0], *artifacts[2]);
-        assert_eq!(*artifacts[1], *artifacts[3]);
         assert_eq!(artifacts[0].kernel, "w4a16_gemm");
         assert_eq!(artifacts[1].kernel, "grouped_gemm");
         // The artifacts carry the new pipeline features end to end.
@@ -2322,53 +1978,5 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.background_requests, 2, "{stats}");
-    }
-
-    #[test]
-    fn speculative_prefetch_warms_predicted_fingerprints() {
-        let dir = unique_temp_dir("prefetch");
-        let cache_config = KernelCacheConfig {
-            dir: Some(dir.clone()),
-            ttl: Some(Duration::from_millis(80)),
-            ..KernelCacheConfig::default()
-        };
-        let service = CompileService::with_service_config(
-            GpuArch::a100(),
-            CompilerOptions::new(),
-            cache_config,
-            ServiceConfig {
-                prefetch: true,
-                ..ServiceConfig::default()
-            },
-        );
-        let a = small_program("prefetch_a");
-        let b = small_program("prefetch_b");
-        // Teach the transition model the A → B pattern.
-        for _ in 0..3 {
-            service.compile(&a).unwrap();
-            service.compile(&b).unwrap();
-        }
-        // Let both tiers expire so B is genuinely cold again.
-        std::thread::sleep(Duration::from_millis(120));
-        // Serving A predicts B; a background job re-warms it speculatively.
-        service.compile(&a).unwrap();
-        assert!(
-            hexcute_parallel::wait_background_idle(Duration::from_secs(10)),
-            "prefetch jobs must drain"
-        );
-        let warm = service.compile(&b).unwrap();
-        assert_eq!(
-            warm.served_from,
-            ServedFrom::Memory,
-            "the predicted fingerprint must already be warm"
-        );
-        let stats = service.stats();
-        assert!(stats.prefetch_issued >= 1, "{stats}");
-        assert!(stats.prefetch_warmed >= 1, "{stats}");
-        assert!(
-            stats.prefetch_hits >= 1,
-            "the demand hit must be attributed to the prefetch: {stats}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,10 +6,15 @@
 //! the in-flight synthesis itself — which is cooperatively cancelled,
 //! freeing its slot and broadcasting a typed error. Shutdown drains the
 //! queue and cancels in-flight work the same way.
+//!
+//! No test relies on how long a compile takes: a synthesis that must stay
+//! in flight is held by [`HoldSyntheses`] until its own cancel trips.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, Once, OnceLock};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use hexcute_arch::GpuArch;
@@ -19,6 +24,7 @@ use hexcute_core::{
 use hexcute_e2e::{CompileService, ServedFrom, ServiceConfig};
 use hexcute_ir::Program;
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
+use hexcute_synthesis::{set_synth_fault_hook, SynthFaultPoint};
 
 fn unique_temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -29,14 +35,59 @@ fn unique_temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// A kernel that takes long enough to synthesize that other requests can
-/// observably queue behind or coalesce onto it.
-fn slow_program() -> Program {
-    fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap()
-}
-
 fn small_program(k: usize) -> Program {
     fp16_gemm(GemmShape::new(128, 128, k), GemmConfig::default()).unwrap()
+}
+
+/// How long a held synthesis stalls if its cancel never trips: far beyond
+/// every deadline and shutdown below, yet short enough that a lost cancel
+/// fails the test instead of hanging it.
+const HOLD: Duration = Duration::from_secs(10);
+
+fn held_threads() -> &'static Mutex<HashSet<ThreadId>> {
+    static HELD: OnceLock<Mutex<HashSet<ThreadId>>> = OnceLock::new();
+    HELD.get_or_init(Default::default)
+}
+
+/// While alive, stalls the next synthesis started on the creating thread at
+/// its first stall point for [`HOLD`]. The stall re-polls the request's
+/// cancel token about every millisecond, so it ends as soon as that
+/// request's deadline, watchdog or shutdown cancel trips, however fast the
+/// compiler is. The synthesis fault hook is process-wide, so it is
+/// installed once and stalls only registered threads: tests running
+/// concurrently in this binary neither replace each other's hold nor wait
+/// on it.
+struct HoldSyntheses(ThreadId);
+
+impl HoldSyntheses {
+    fn on_this_thread() -> Self {
+        static INSTALL: Once = Once::new();
+        INSTALL.call_once(|| {
+            set_synth_fault_hook(Some(Arc::new(|point| {
+                let held = point == SynthFaultPoint::Stall
+                    && held_threads()
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .remove(&std::thread::current().id());
+                held.then_some(HOLD)
+            })));
+        });
+        let id = std::thread::current().id();
+        held_threads()
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(id);
+        HoldSyntheses(id)
+    }
+}
+
+impl Drop for HoldSyntheses {
+    fn drop(&mut self) {
+        held_threads()
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&self.0);
+    }
 }
 
 fn service_with(config: ServiceConfig, dir: Option<&std::path::Path>) -> CompileService {
@@ -64,7 +115,7 @@ fn panicking_synthesis_releases_all_coalesced_waiters() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
-    let program = slow_program();
+    let program = small_program(64);
 
     let n = 6;
     let barrier = Arc::new(Barrier::new(n));
@@ -160,7 +211,7 @@ fn full_queue_sheds_with_typed_overload() {
 
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        std::thread::spawn(move || service.compile(&small_program(128)))
     };
     // Wait until the holder owns the only concurrency slot.
     while service.stats().syntheses == 0 {
@@ -208,8 +259,9 @@ fn deadline_expiring_mid_synthesis_cancels_the_claimant() {
     };
     let service = service_with(config, None);
 
+    let _hold = HoldSyntheses::on_this_thread();
     let started = std::time::Instant::now();
-    let err = service.compile(&slow_program()).unwrap_err();
+    let err = service.compile(&small_program(64)).unwrap_err();
     let turnaround = started.elapsed();
     match err {
         CompileError::DeadlineExceeded { elapsed } => {
@@ -217,9 +269,9 @@ fn deadline_expiring_mid_synthesis_cancels_the_claimant() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    // The search aborts within the cancellation-poll bound (watchdog scan
-    // interval + one search row + unwind), not after the full multi-second
-    // search. The generous cap still distinguishes abort from completion.
+    // The held search aborts within the cancellation-poll bound (watchdog
+    // scan interval + one stall slice + unwind), not after the full
+    // `HOLD`. The generous cap still distinguishes abort from completion.
     assert!(
         turnaround < Duration::from_secs(5),
         "cancellation took {turnaround:?} — the search likely ran to completion"
@@ -246,8 +298,9 @@ fn deadline_expires_while_coalesced() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
-    let program = slow_program();
+    let program = small_program(64);
 
+    // Whichever thread claims the synthesis is held until its deadline.
     let n = 4;
     let barrier = Arc::new(Barrier::new(n));
     let handles: Vec<_> = (0..n)
@@ -256,6 +309,7 @@ fn deadline_expires_while_coalesced() {
             let program = program.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                let _hold = HoldSyntheses::on_this_thread();
                 barrier.wait();
                 service.compile(&program)
             })
@@ -288,10 +342,13 @@ fn shutdown_drains_queued_waiters_and_cancels_inflight() {
     };
     let service = Arc::new(service_with(config, None));
 
-    // The slot holder runs a long synthesis...
+    // The slot holder's synthesis is held until shutdown cancels it...
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        std::thread::spawn(move || {
+            let _hold = HoldSyntheses::on_this_thread();
+            service.compile(&small_program(128))
+        })
     };
     while service.stats().syntheses == 0 {
         std::thread::yield_now();
@@ -348,9 +405,13 @@ fn cancelled_pruned_search_frees_its_admission_slot() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
+    // The holder is held inside the pruned walk until shutdown cancels it.
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        std::thread::spawn(move || {
+            let _hold = HoldSyntheses::on_this_thread();
+            service.compile(&small_program(128))
+        })
     };
     while service.stats().syntheses == 0 {
         std::thread::yield_now();
@@ -384,17 +445,22 @@ fn deadline_expires_while_queued() {
     };
     let service = Arc::new(service_with(config, None));
 
+    // The holder is held until its own deadline cancels it.
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        std::thread::spawn(move || {
+            let _hold = HoldSyntheses::on_this_thread();
+            service.compile(&small_program(128))
+        })
     };
     while service.stats().syntheses == 0 {
         std::thread::yield_now();
     }
 
     // A *different* kernel can't coalesce; it queues for the slot and its
-    // deadline expires (while queued, or mid-synthesis if the cancelled
-    // holder frees the slot first — typed either way).
+    // deadline expires (while queued, or mid-synthesis — held too — if the
+    // cancelled holder frees the slot first — typed either way).
+    let _hold = HoldSyntheses::on_this_thread();
     let err = service.compile(&small_program(32)).unwrap_err();
     assert!(
         matches!(err, CompileError::DeadlineExceeded { .. }),

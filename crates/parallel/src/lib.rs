@@ -176,24 +176,14 @@ pub struct PoolStats {
     /// Job items skipped because their job's [`cancel::CancelToken`] tripped
     /// before they ran (see [`par_map_cancellable`]).
     pub cancelled: u64,
-    /// Background (best-effort) jobs executed by pool workers in otherwise
-    /// idle time (see [`spawn_background`]).
-    pub background: u64,
 }
 
 impl std::fmt::Display for PoolStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} workers, {} jobs, {} items ({} cancelled), {} background, \
-             {} deaths / {} respawns",
-            self.spawned,
-            self.jobs,
-            self.items,
-            self.cancelled,
-            self.background,
-            self.deaths,
-            self.respawns
+            "{} workers, {} jobs, {} items ({} cancelled), {} deaths / {} respawns",
+            self.spawned, self.jobs, self.items, self.cancelled, self.deaths, self.respawns
         )
     }
 }
@@ -203,7 +193,6 @@ static POOL_ITEMS: AtomicU64 = AtomicU64::new(0);
 static POOL_DEATHS: AtomicU64 = AtomicU64::new(0);
 static POOL_RESPAWNS: AtomicU64 = AtomicU64::new(0);
 static POOL_CANCELLED: AtomicU64 = AtomicU64::new(0);
-static POOL_BACKGROUND: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the pool's lifetime counters.
 pub fn pool_stats() -> PoolStats {
@@ -214,7 +203,6 @@ pub fn pool_stats() -> PoolStats {
         deaths: POOL_DEATHS.load(Ordering::Relaxed),
         respawns: POOL_RESPAWNS.load(Ordering::Relaxed),
         cancelled: POOL_CANCELLED.load(Ordering::Relaxed),
-        background: POOL_BACKGROUND.load(Ordering::Relaxed),
     }
 }
 
@@ -286,18 +274,8 @@ struct QueuedJob {
     tickets: usize,
 }
 
-/// A queued best-effort job (see [`spawn_background`]).
-type BackgroundJob = Box<dyn FnOnce() + Send + 'static>;
-
 struct PoolInner {
     queue: VecDeque<QueuedJob>,
-    /// Best-effort jobs stolen by workers only when no foreground
-    /// ([`par_map`]) job offers a ticket: foreground latency is never spent
-    /// on speculative work.
-    background: VecDeque<BackgroundJob>,
-    /// Background jobs claimed but not yet finished (for
-    /// [`background_pending`]).
-    background_active: usize,
     idle: usize,
     spawned: usize,
     next_id: u64,
@@ -313,8 +291,6 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         inner: Mutex::new(PoolInner {
             queue: VecDeque::new(),
-            background: VecDeque::new(),
-            background_active: 0,
             idle: 0,
             spawned: 0,
             next_id: 0,
@@ -335,25 +311,8 @@ impl Pool {
         // parallelism — never a stuck or dangling job. Panicking here with
         // the job already queued would leak a handle to freed stack memory.
         let deficit = tickets.saturating_sub(inner.idle);
-        self.spawn_workers(&mut inner, deficit);
-        POOL_JOBS.fetch_add(1, Ordering::Relaxed);
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.queue.push_back(QueuedJob {
-            id,
-            handle,
-            tickets,
-        });
-        drop(inner);
-        self.work.notify_all();
-        id
-    }
-
-    /// Spawns up to `want` additional persistent workers (lazily, bounded by
-    /// [`MAX_POOL_THREADS`], tolerant of spawn failure).
-    fn spawn_workers(&'static self, inner: &mut PoolInner, want: usize) {
         let headroom = MAX_POOL_THREADS.saturating_sub(inner.spawned);
-        for _ in 0..want.min(headroom) {
+        for _ in 0..deficit.min(headroom) {
             match std::thread::Builder::new()
                 .name("hexcute-pool".to_string())
                 .spawn(move || {
@@ -375,6 +334,17 @@ impl Pool {
                 Err(_) => break,
             }
         }
+        POOL_JOBS.fetch_add(1, Ordering::Relaxed);
+        let id = inner.next_id;
+        inner.next_id += 1;
+        inner.queue.push_back(QueuedJob {
+            id,
+            handle,
+            tickets,
+        });
+        drop(inner);
+        self.work.notify_all();
+        id
     }
 
     /// Removes the job from the queue so no further helper can join. Helpers
@@ -410,18 +380,6 @@ impl Pool {
                 unsafe { (handle.run)(handle.state) };
                 unsafe { (*handle.gate).leave() };
                 inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            } else if let Some(job) = inner.background.pop_front() {
-                // Work stealing for the background class: only reached when
-                // no foreground job offers a ticket, so speculative work
-                // soaks up otherwise idle workers and nothing else. A
-                // panicking background job is caught here — best-effort work
-                // must never kill (or even respawn-cycle) a pool worker.
-                inner.background_active += 1;
-                drop(inner);
-                let _ = panic::catch_unwind(AssertUnwindSafe(job));
-                POOL_BACKGROUND.fetch_add(1, Ordering::Relaxed);
-                inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-                inner.background_active -= 1;
             } else {
                 inner.idle += 1;
                 inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
@@ -431,48 +389,11 @@ impl Pool {
     }
 }
 
-/// Enqueues a best-effort job on the persistent pool's **background lane**.
-///
-/// Pool workers steal background jobs only when no foreground [`par_map`]
-/// job offers a helper ticket, so speculative work (the compile service's
-/// predictive precompilation) consumes spare pool capacity and never delays
-/// a foreground map. A worker is spawned lazily if none exists yet; panics
-/// inside `f` are caught and discarded (best-effort semantics). Executed
-/// jobs are counted in [`PoolStats::background`].
-pub fn spawn_background(f: impl FnOnce() + Send + 'static) {
-    let pool = pool();
-    let mut inner = pool.inner.lock().unwrap_or_else(|p| p.into_inner());
-    inner.background.push_back(Box::new(f));
-    if inner.idle == 0 && inner.spawned < worker_count().max(1) {
-        // No parked worker to steal the job and the pool is below its
-        // configured width: grow it by one (busy workers pick the job up
-        // later either way).
-        pool.spawn_workers(&mut inner, 1);
-    }
-    drop(inner);
-    pool.work.notify_all();
-}
-
-/// Background jobs not yet finished: queued plus currently executing.
-pub fn background_pending() -> usize {
-    let inner = pool().inner.lock().unwrap_or_else(|p| p.into_inner());
-    inner.background.len() + inner.background_active
-}
-
-/// Blocks until the background lane is idle (no queued or executing jobs) or
-/// `timeout` passes; returns whether it drained. Harnesses use this to model
-/// traffic lulls in which speculative work catches up.
-pub fn wait_background_idle(timeout: std::time::Duration) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        if background_pending() == 0 {
-            return true;
-        }
-        if std::time::Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The pool runs no background work, so this returns `true` at once.
+// Kept only because `perfbench/src/serve.rs` calls it; remove both together.
+#[doc(hidden)]
+pub fn wait_background_idle(_timeout: std::time::Duration) -> bool {
+    true
 }
 
 /// Number of persistent pool threads spawned so far in this process. Grows
@@ -946,69 +867,6 @@ mod tests {
         // The revived workers keep serving jobs.
         let again = par_map_with_workers((0..64).collect::<Vec<_>>(), |x| x + 7, 4);
         assert_eq!(again, (0..64).map(|x| x + 7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn background_jobs_run_and_are_counted() {
-        let before = pool_stats().background;
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let done = done.clone();
-            spawn_background(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert!(
-            wait_background_idle(std::time::Duration::from_secs(10)),
-            "background lane did not drain"
-        );
-        assert_eq!(done.load(Ordering::Relaxed), 8);
-        assert!(pool_stats().background >= before + 8);
-    }
-
-    #[test]
-    fn panicking_background_job_does_not_kill_the_worker() {
-        let before = pool_stats();
-        spawn_background(|| panic!("background boom"));
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        // The panic is absorbed: no worker death, and both lanes keep
-        // working afterwards.
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = done.clone();
-        spawn_background(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        assert_eq!(done.load(Ordering::Relaxed), 1);
-        let out = par_map_with_workers((0..64).collect::<Vec<_>>(), |x| x + 1, 4);
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        let after = pool_stats();
-        assert_eq!(
-            after.deaths - before.deaths,
-            after.respawns - before.respawns,
-            "a background panic must not leave a dead worker behind"
-        );
-    }
-
-    #[test]
-    fn foreground_maps_are_served_before_background_jobs() {
-        // Saturate the background lane with slow jobs, then issue a
-        // foreground map: workers must prefer the ticketed foreground job at
-        // every claim, so the map completes while background work is still
-        // pending. (Timing-free: we only assert completion, plus that the
-        // background jobs do eventually run.)
-        let bg_done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
-            let bg_done = bg_done.clone();
-            spawn_background(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                bg_done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let out = par_map_with_workers((0..128).collect::<Vec<_>>(), |x| x * 2, 4);
-        assert_eq!(out, (0..128).map(|x| x * 2).collect::<Vec<_>>());
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        assert_eq!(bg_done.load(Ordering::Relaxed), 4);
     }
 
     #[test]
