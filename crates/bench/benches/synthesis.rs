@@ -58,8 +58,6 @@ fn bench_synthesis(c: &mut Criterion) {
     // enumeration, both serial, on the relaxed-cap (enlarged) choice space.
     let enlarged = SynthesisOptions {
         max_candidates: 4096,
-        node_budget: None,
-        beam_width: None,
         parallel_workers: Some(1),
         parallel_subtree_depth: Some(0),
         ..SynthesisOptions::default()

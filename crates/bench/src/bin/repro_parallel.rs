@@ -51,7 +51,7 @@ fn print_prefix_stats() {
             ..SynthesisOptions::default()
         };
         let (candidates, stats) = Synthesizer::new(program, &arch, options)
-            .synthesize_with_stats()
+            .synthesize_with_stats(None)
             .unwrap();
         let stats = stats.expect("incremental search reports stats");
         println!(

@@ -229,18 +229,9 @@ impl Compiler {
         self.compile_cancellable(program, None)
     }
 
-    /// [`Compiler::compile`] with a cooperative [`CancelToken`]: the token is
-    /// polled at row granularity by the synthesis walks and at job
-    /// granularity by the scoring fan-out, so a cancel aborts the compile
-    /// promptly with a typed [`CompileError::Cancelled`]. A cancelled
-    /// compile leaves nothing behind: reissuing the request yields the exact
-    /// same result a never-cancelled compile would.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Compiler::compile`], plus [`CompileError::Cancelled`] when
-    /// `token` trips mid-compile.
-    pub fn compile_cancellable(
+    /// [`Compiler::compile`] with a cooperative [`CancelToken`] (see
+    /// [`Compiler::compile_artifact_cancellable`] for the contract).
+    fn compile_cancellable(
         &self,
         program: &Program,
         token: Option<&CancelToken>,
@@ -317,9 +308,9 @@ impl Compiler {
     /// admissible bound cannot rule out, yielding the same winning candidate
     /// — and the same cost and perf breakdowns, bit for bit — as the
     /// exhaustive ranking. Returns `Ok(None)` when the search declines to
-    /// prune (the enumeration exceeds `max_candidates`, where the exhaustive
-    /// path's truncation semantics apply), in which case the caller falls
-    /// back to the exhaustive ranking.
+    /// prune (the enumeration exceeds `max_candidates`, a cap only the
+    /// exhaustive path applies), in which case the caller falls back to the
+    /// exhaustive ranking.
     fn compile_pruned(
         &self,
         program: &Program,
@@ -377,9 +368,12 @@ impl Compiler {
         self.compile_artifact_cancellable(program, None)
     }
 
-    /// [`Compiler::compile_artifact`] with a cooperative [`CancelToken`]
-    /// (see [`Compiler::compile_cancellable`] for the cancellation
-    /// contract).
+    /// [`Compiler::compile_artifact`] with a cooperative [`CancelToken`]: the
+    /// token is polled at row granularity by the synthesis walks and at job
+    /// granularity by the scoring fan-out, so a cancel aborts the compile
+    /// promptly with a typed [`CompileError::Cancelled`]. A cancelled
+    /// compile leaves nothing behind: reissuing the request yields the exact
+    /// same artifact a never-cancelled compile would.
     ///
     /// # Errors
     ///
@@ -446,21 +440,13 @@ impl Compiler {
 
     /// [`Compiler::compile_candidates`] with a cooperative [`CancelToken`]
     /// threaded through both the synthesis walks and the scoring fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Compiler::compile_candidates`], plus
-    /// [`CompileError::Cancelled`] when `token` trips.
-    pub fn compile_candidates_cancellable(
+    fn compile_candidates_cancellable(
         &self,
         program: &Program,
         token: Option<&CancelToken>,
     ) -> Result<Vec<(Candidate, CostBreakdown, PerfReport)>, CompileError> {
         let synthesizer = Synthesizer::new(program, &self.arch, self.options.synthesis.clone());
-        let (outcome, _) = synthesizer.synthesize_outcome(token)?;
-        // A budget-truncated outcome still ranks normally: `best_so_far` is
-        // a deterministic prefix of the exhaustive candidate list.
-        let candidates = outcome.into_candidates();
+        let (candidates, _) = synthesizer.synthesize_with_stats(token)?;
         let model = CostModel::new(&self.arch);
         let workers = self
             .options

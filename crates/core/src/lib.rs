@@ -55,6 +55,4 @@ pub use faults::{FaultInjector, FaultKind, FaultSpec, FaultSpecError};
 
 pub use hexcute_costmodel::CostBreakdown;
 pub use hexcute_sim::PerfReport;
-pub use hexcute_synthesis::{
-    CancelReason, CancelToken, Candidate, SynthesisOptions, SynthesisOutcome,
-};
+pub use hexcute_synthesis::{CancelReason, CancelToken, Candidate, SynthesisOptions};

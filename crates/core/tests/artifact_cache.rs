@@ -502,3 +502,21 @@ fn fingerprints_separate_programs_arches_and_options() {
     };
     assert_eq!(base, artifact_fingerprint(&gemm, &a100, &parallel));
 }
+
+/// Pins the cache key of one fixed GEMM under default options. A changed
+/// key silently orphans every artifact already on disk, so the values below
+/// may only change together with a deliberate cache-format change.
+#[test]
+fn default_fingerprints_are_pinned() {
+    use hexcute_core::{artifact_fingerprint, CompilerOptions};
+    let gemm = fp16_gemm(GemmShape::new(256, 256, 128), GemmConfig::default()).unwrap();
+    let defaults = CompilerOptions::new();
+    assert_eq!(
+        artifact_fingerprint(&gemm, &GpuArch::a100(), &defaults),
+        0x9813_9285_1ae3_425a
+    );
+    assert_eq!(
+        artifact_fingerprint(&gemm, &GpuArch::h100(), &defaults),
+        0xa4df_5f6e_2969_6027
+    );
+}

@@ -11,10 +11,6 @@
 //!   worker is the serial walk),
 //! * branch-and-bound pruning on/off (`SynthesisOptions::prune`): the pruned
 //!   winner equals the exhaustive argmin, artifact included,
-//! * deterministic node budgets (`SynthesisOptions::node_budget`): a budget
-//!   covering the full space is bit-identical to the exhaustive search, and
-//!   a small budget truncates to the same prefix at every worker count and
-//!   option,
 //! * artifact cache cold vs. warm (memory and disk hits).
 //!
 //! A second oracle checks the memo tiers: for every family, a warm answer
@@ -171,23 +167,11 @@ fn compile_config(
     workers: usize,
     depth: Option<usize>,
 ) -> Scored {
-    compile_config_budgeted(program, arch, incremental, workers, depth, None)
-}
-
-fn compile_config_budgeted(
-    program: &Program,
-    arch: &GpuArch,
-    incremental: bool,
-    workers: usize,
-    depth: Option<usize>,
-    node_budget: Option<usize>,
-) -> Scored {
     let options = CompilerOptions {
         synthesis: SynthesisOptions {
             incremental,
             parallel_workers: Some(workers),
             parallel_subtree_depth: depth,
-            node_budget,
             ..SynthesisOptions::default()
         },
         use_cost_model: true,
@@ -195,29 +179,6 @@ fn compile_config_budgeted(
     Compiler::with_options(arch.clone(), options)
         .compile_candidates(program)
         .unwrap()
-}
-
-/// Runs the raw search (no scoring) under a node budget and reports whether
-/// it truncated plus the candidate list in enumeration order.
-fn synthesize_budgeted(
-    program: &Program,
-    arch: &GpuArch,
-    incremental: bool,
-    workers: usize,
-    depth: Option<usize>,
-    node_budget: Option<usize>,
-) -> (bool, Vec<Candidate>) {
-    let options = SynthesisOptions {
-        incremental,
-        parallel_workers: Some(workers),
-        parallel_subtree_depth: depth,
-        node_budget,
-        ..SynthesisOptions::default()
-    };
-    let (outcome, _) = Synthesizer::new(program, arch, options)
-        .synthesize_outcome(None)
-        .unwrap();
-    (outcome.is_truncated(), outcome.into_candidates())
 }
 
 fn assert_scored_equal(label: &str, program: &Program, reference: &Scored, other: &Scored) {
@@ -275,7 +236,6 @@ fn compile_pruned_config(
     let options = CompilerOptions {
         synthesis: SynthesisOptions {
             prune,
-            beam_width: None,
             parallel_workers: Some(workers),
             parallel_subtree_depth: depth,
             ..SynthesisOptions::default()
@@ -410,59 +370,6 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
     // Reference evaluation on 4 workers (parallel scoring path).
     let ref_parallel = compile_config(&program, arch, false, 4, None);
     assert_scored_equal("reference/4-workers", &program, &reference, &ref_parallel);
-
-    // Node budget ≥ the full search space is a no-op: bit-identical to the
-    // unbudgeted exhaustive search, at any worker count and on both the
-    // incremental and reference paths.
-    let big_serial = compile_config_budgeted(&program, arch, true, 1, Some(0), Some(usize::MAX));
-    assert_scored_equal("budget-max/serial", &program, &reference, &big_serial);
-    let big_parallel = compile_config_budgeted(&program, arch, false, 4, None, Some(usize::MAX));
-    assert_scored_equal(
-        "budget-max/reference/4-workers",
-        &program,
-        &reference,
-        &big_parallel,
-    );
-
-    // A small budget truncates deterministically: every (incremental ×
-    // worker-count) configuration reports the same truncation flag and the
-    // same `best_so_far` list — a prefix of the exhaustive enumeration.
-    let exhaustive = synthesize_budgeted(&program, arch, true, 1, Some(0), None);
-    let budget = Some(2usize);
-    let truncated_ref = synthesize_budgeted(&program, arch, true, 1, Some(0), budget);
-    for (label, other) in [
-        (
-            "budget-2/incremental/4-workers",
-            synthesize_budgeted(&program, arch, true, 4, None, budget),
-        ),
-        (
-            "budget-2/reference/serial",
-            synthesize_budgeted(&program, arch, false, 1, Some(0), budget),
-        ),
-        (
-            "budget-2/reference/4-workers",
-            synthesize_budgeted(&program, arch, false, 4, None, budget),
-        ),
-    ] {
-        assert_eq!(
-            truncated_ref, other,
-            "[{label}] budgeted outcome diverged for {}",
-            program.name
-        );
-    }
-    let (was_truncated, truncated_candidates) = truncated_ref;
-    assert_eq!(
-        truncated_candidates,
-        exhaustive.1[..truncated_candidates.len()],
-        "a truncated search must return a prefix of the exhaustive \
-         enumeration for {}",
-        program.name
-    );
-    if !was_truncated {
-        // Tiny search spaces fit inside the budget; then the outcome must
-        // be the complete list.
-        assert_eq!(truncated_candidates.len(), exhaustive.1.len());
-    }
 
     // Prune axis: exact branch-and-bound vs. the exhaustive ranking.
     assert_prune_conformance(workload, arch);

@@ -4,8 +4,9 @@
 //! retried to success, the admission controller must shed typed overload,
 //! and deadlines are enforced while queued, while coalesced *and* against
 //! the in-flight synthesis itself — which is cooperatively cancelled,
-//! freeing its slot and broadcasting a typed error. Shutdown drains the
-//! queue and cancels in-flight work the same way.
+//! freeing its slot and broadcasting a typed error. The watchdog and
+//! shutdown cancel in-flight work the same way; shutdown also drains the
+//! queue.
 //!
 //! No test relies on how long a compile takes: a synthesis that must stay
 //! in flight is held by [`HoldSyntheses`] until its own cancel trips.
@@ -428,6 +429,37 @@ fn cancelled_pruned_search_frees_its_admission_slot() {
         service.cancel_to_free_latencies().len(),
         1,
         "the cancelled claimant must free its slot"
+    );
+}
+
+/// The watchdog trips a runaway synthesis: the claimant returns a typed
+/// `SynthesisTimeout` and nothing is cached.
+#[test]
+fn watchdog_trips_a_runaway_synthesis_with_a_typed_timeout() {
+    let config = ServiceConfig {
+        watchdog: Some(Duration::from_millis(1)),
+        ..ServiceConfig::default()
+    };
+    let service = service_with(config, None);
+
+    // The search is held until the 1 ms watchdog's cancel trips it.
+    let _hold = HoldSyntheses::on_this_thread();
+    match service.compile(&small_program(64)) {
+        Err(CompileError::SynthesisTimeout { elapsed }) => {
+            assert!(elapsed >= Duration::from_millis(1), "{elapsed:?}");
+        }
+        other => panic!("expected a watchdog timeout, got {other:?}"),
+    }
+    let stats = service.stats();
+    assert_eq!(stats.watchdog_trips, 1, "{stats}");
+    assert_eq!(stats.cancelled, 1, "{stats}");
+    assert_eq!(
+        stats.cache.memory.entries, 0,
+        "a cancelled synthesis must never cache: {stats}"
+    );
+    assert!(
+        !service.cancel_to_free_latencies().is_empty(),
+        "the cancelled claimant must record its cancel-to-free latency"
     );
 }
 

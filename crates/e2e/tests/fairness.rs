@@ -6,10 +6,16 @@
 //! never a priority inversion outside a boost. Runs in the
 //! `determinism-mt` CI leg: the grant schedule is a pure function of
 //! arrival (ticket) order, independent of `HEXCUTE_THREADS`.
+//!
+//! No test relies on how long a compile takes: every request's synthesis
+//! parks in a [`Turnstile`] until the test lets it through, one at a time,
+//! so the recorded order follows from the admission schedule alone.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
+use std::time::{Duration, Instant};
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{CompilerOptions, KernelCacheConfig};
@@ -18,36 +24,122 @@ use hexcute_ir::Program;
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
 use hexcute_synthesis::{set_synth_fault_hook, SynthFaultPoint};
 
-/// A kernel that synthesizes long enough for an observable queue to build
-/// up behind it.
-fn slow_program() -> Program {
-    fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap()
+/// How long a turnstile waits for a request to park or return before it
+/// fails the test instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(60);
+
+#[derive(Debug, Default)]
+struct TurnstileState {
+    /// Request threads spawned through the turnstile.
+    started: usize,
+    /// Request threads whose request has returned.
+    finished: usize,
+    /// Threads whose synthesis is parked, in parking order.
+    parked: VecDeque<ThreadId>,
 }
 
-/// Holds every synthesis walk at its first stall point until dropped, so
-/// slot holders stay busy while a queue builds behind them however fast the
-/// compiler is. The hook is process-wide: a sibling test's syntheses wait
-/// at the gate too, which only delays them.
-struct SynthesisGate(Arc<AtomicBool>);
+/// Parks the synthesis of every request spawned through it at its first
+/// stall point until [`Turnstile::release_next`] lets it through. The
+/// synthesis fault hook is process-wide, so it is installed once per binary
+/// and parks only threads registered with a turnstile: the tests in this
+/// binary run side by side without holding each other's syntheses.
+#[derive(Debug, Default)]
+struct Turnstile {
+    state: Mutex<TurnstileState>,
+    changed: Condvar,
+}
 
-impl SynthesisGate {
-    fn close() -> Self {
-        let open = Arc::new(AtomicBool::new(false));
-        let gate = Arc::clone(&open);
-        set_synth_fault_hook(Some(Arc::new(move |point| {
-            while point == SynthFaultPoint::Stall && !gate.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            None
-        })));
-        SynthesisGate(open)
+/// The turnstile each registered request thread parks in.
+fn registered() -> &'static Mutex<HashMap<ThreadId, Arc<Turnstile>>> {
+    static REGISTERED: OnceLock<Mutex<HashMap<ThreadId, Arc<Turnstile>>>> = OnceLock::new();
+    REGISTERED.get_or_init(Default::default)
+}
+
+impl Turnstile {
+    fn new() -> Arc<Self> {
+        static INSTALL: Once = Once::new();
+        INSTALL.call_once(|| {
+            set_synth_fault_hook(Some(Arc::new(|point| {
+                if point == SynthFaultPoint::Stall {
+                    let turnstile = registered()
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .remove(&std::thread::current().id());
+                    if let Some(turnstile) = turnstile {
+                        turnstile.park();
+                    }
+                }
+                None
+            })));
+        });
+        Arc::new(Turnstile::default())
     }
-}
 
-impl Drop for SynthesisGate {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-        set_synth_fault_hook(None);
+    fn lock(&self) -> MutexGuard<'_, TurnstileState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Spawns a request thread whose next synthesis parks here.
+    fn spawn<T: Send + 'static>(
+        self: &Arc<Self>,
+        request: impl FnOnce() -> T + Send + 'static,
+    ) -> JoinHandle<T> {
+        self.lock().started += 1;
+        let turnstile = Arc::clone(self);
+        std::thread::spawn(move || {
+            registered()
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .insert(std::thread::current().id(), Arc::clone(&turnstile));
+            let result = request();
+            turnstile.lock().finished += 1;
+            turnstile.changed.notify_all();
+            result
+        })
+    }
+
+    /// Called from the hook on a registered thread: waits until released.
+    fn park(&self) {
+        let me = std::thread::current().id();
+        let mut state = self.lock();
+        state.parked.push_back(me);
+        self.changed.notify_all();
+        while state.parked.contains(&me) {
+            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Lets the longest-parked synthesis through and waits until its
+    /// request has returned. Every unfinished request outside the admission
+    /// queue (`queue_depth` deep) holds a slot; all of them park first, so
+    /// parking order is grant order.
+    fn release_next(&self, queue_depth: usize) {
+        let mut state = self.wait_until(|s| {
+            !s.parked.is_empty() && s.parked.len() + queue_depth + s.finished >= s.started
+        });
+        state.parked.pop_front();
+        let finished = state.finished + 1;
+        self.changed.notify_all();
+        drop(state);
+        drop(self.wait_until(|s| s.finished >= finished));
+    }
+
+    fn wait_until(
+        &self,
+        ready: impl Fn(&TurnstileState) -> bool,
+    ) -> MutexGuard<'_, TurnstileState> {
+        let give_up = Instant::now() + PATIENCE;
+        let mut state = self.lock();
+        while !ready(&state) {
+            let now = Instant::now();
+            assert!(now < give_up, "requests stopped making progress: {state:?}");
+            state = self
+                .changed
+                .wait_timeout(state, give_up - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+        }
+        state
     }
 }
 
@@ -78,11 +170,12 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
         config,
     ));
 
-    // Occupy the only slot for long enough (a ~1 s synthesis vs. ~ms of
-    // enqueueing below) that every waiter parks before the first grant.
+    // Occupy the only slot until every waiter below has parked: the
+    // holder's synthesis waits in the turnstile.
+    let turnstile = Turnstile::new();
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        turnstile.spawn(move || service.compile(&small_program(128)))
     };
     while service.stats().syntheses == 0 {
         std::thread::yield_now();
@@ -102,7 +195,7 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
         let order = Arc::clone(&order);
         let failures = Arc::clone(&failures);
         let program = small_program(32 + parked);
-        handles.push(std::thread::spawn(move || {
+        handles.push(turnstile.spawn(move || {
             let tenant = TenantId(0);
             match worker.compile_as(&program, priority, tenant) {
                 Ok(_) => order.lock().unwrap().push(label),
@@ -121,6 +214,11 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
         "the slot holder must still be in flight while the queue builds"
     );
 
+    // The holder, then each granted waiter, finishes before the next grant
+    // is released, so completion order is grant order.
+    for _ in 0..=handles.len() {
+        turnstile.release_next(service.stats().queue_depth);
+    }
     holder.join().unwrap().expect("the slot holder succeeds");
     for handle in handles {
         handle.join().expect("waiter threads must complete");
@@ -174,15 +272,14 @@ fn tenant_bursts_share_the_slots_fairly() {
     ));
 
     // Two distinct kernels (they must not coalesce) on two distinct tenants
-    // occupy both slots while the queue builds: the gate holds them until
-    // every request below is parked. They are as quick as the waiters, so
-    // once released both slots free up together.
-    let gate = SynthesisGate::close();
+    // occupy both slots while the queue builds: their syntheses wait in the
+    // turnstile until every request below is parked.
+    let turnstile = Turnstile::new();
     let holders: Vec<_> = [(100u32, 32usize), (101u32, 48usize)]
         .into_iter()
         .map(|(tenant, k)| {
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
+            turnstile.spawn(move || {
                 let program = small_program(k);
                 service.compile_as(&program, Priority::LatencyCritical, TenantId(tenant))
             })
@@ -204,7 +301,7 @@ fn tenant_bursts_share_the_slots_fairly() {
         let worker = Arc::clone(&service);
         let order = Arc::clone(&order);
         let program = small_program(64 + parked);
-        handles.push(std::thread::spawn(move || {
+        handles.push(turnstile.spawn(move || {
             let response = worker.compile_as(&program, Priority::LatencyCritical, TenantId(tenant));
             response.expect("tenant requests succeed");
             order.lock().unwrap().push(label);
@@ -213,8 +310,10 @@ fn tenant_bursts_share_the_slots_fairly() {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
     }
-    drop(gate);
-
+    // One request at a time finishes, in grant order.
+    for _ in 0..holders.len() + handles.len() {
+        turnstile.release_next(service.stats().queue_depth);
+    }
     for holder in holders {
         holder.join().unwrap().expect("the slot holders succeed");
     }
@@ -224,7 +323,8 @@ fn tenant_bursts_share_the_slots_fairly() {
 
     // The quota keeps at most one tenant-1 synthesis in flight, so tenant
     // 2's two requests ride the second slot and finish long before tenant
-    // 1's burst drains; within each tenant, completions are FIFO.
+    // 1's burst drains; within each tenant, completions are FIFO. (Released
+    // in grant order, the completions run t1-0, t2-0, t1-1, t2-1, t1-2..5.)
     let order = order.lock().unwrap();
     let t2_last = order.iter().rposition(|l| l.starts_with("t2")).unwrap();
     assert!(

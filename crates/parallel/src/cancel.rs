@@ -15,12 +15,6 @@
 //! reports one coherent reason. The token also records *when* it was
 //! cancelled, which lets the serving layer measure cancel-to-worker-free
 //! latency (how long a cancelled synthesis held its slot past the cancel).
-//!
-//! Tokens are deliberately wall-clock-only. The *deterministic* bound on a
-//! search — the node budget of `HEXCUTE_SYNTH_BUDGET` — is not part of the
-//! token: budgets must produce bit-identical results at any thread count, so
-//! they are applied by truncating the deterministic enumeration *before* the
-//! walk fans out, never by racing workers against a shared counter.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};

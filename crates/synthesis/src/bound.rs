@@ -71,29 +71,21 @@ pub trait SearchBounder: Sync {
     fn completion_bound(&self, candidate: &Candidate, undecided: &[OpId]) -> f64;
 }
 
-/// The result of a pruned (branch-and-bound, optionally beamed) search: the
-/// winner only. Pruned walks skip dominated leaves, so — unlike
-/// [`crate::SynthesisOutcome`] — no survivor *list* is reported: which
-/// non-winning leaves were scored depends on incumbent timing and is not
-/// deterministic across worker counts. The winner and its score are.
+/// The result of a pruned (branch-and-bound) search: the winner only.
+/// Pruned walks skip dominated leaves, so — unlike
+/// [`crate::Synthesizer::synthesize`] — no survivor *list* is reported:
+/// which non-winning leaves were scored depends on incumbent timing and is
+/// not deterministic across worker counts. The winner and its score are.
 #[derive(Debug, Clone)]
 pub struct PrunedOutcome {
-    /// The winning candidate — bit-identical to the exhaustive winner in
-    /// exact mode (no beam).
+    /// The winning candidate — bit-identical to the exhaustive winner.
     pub winner: Candidate,
     /// The winner's exact score (bit-identical to the exhaustive score).
     pub score: f64,
     /// The winner's index in the deterministic selection enumeration.
     pub winner_index: usize,
-    /// Selections enumerated (after the node budget and beam, before
-    /// pruning).
+    /// Selections enumerated (before pruning).
     pub enumerated: usize,
-    /// Whether the node budget truncated the enumeration (the analogue of
-    /// [`crate::SynthesisOutcome::Truncated`]).
-    pub truncated: bool,
-    /// Whether the beam dropped any prefix (always `false` without a
-    /// configured beam width).
-    pub beamed: bool,
     /// Walk counters, including the pruning counters. The pruning counters
     /// depend on incumbent timing and are **not** deterministic across
     /// worker counts; the winner is.

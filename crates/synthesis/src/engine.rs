@@ -18,49 +18,6 @@ use crate::hooks;
 use crate::options::SynthesisOptions;
 use crate::smem::synthesize_smem_layouts;
 
-/// The result of a (possibly budgeted) synthesis search.
-///
-/// The deterministic node budget ([`SynthesisOptions::node_budget`]) bounds
-/// how many selections the enumeration evaluates by truncating the
-/// deterministic selection list *before* the walk fans out, so a truncated
-/// outcome is bit-identical at any worker count and for the incremental and
-/// reference paths alike. Contrast with wall-clock cancellation, which
-/// yields a typed [`SynthesisError::Cancelled`] and never a partial result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SynthesisOutcome {
-    /// The full enumeration was evaluated.
-    Complete(Vec<Candidate>),
-    /// The node budget truncated the enumeration; these are the candidates
-    /// finished within the budget (in enumeration order, preferred first).
-    Truncated {
-        /// Candidates finished before the budget ran out.
-        best_so_far: Vec<Candidate>,
-    },
-}
-
-impl SynthesisOutcome {
-    /// The finished candidates, complete or not.
-    pub fn candidates(&self) -> &[Candidate] {
-        match self {
-            SynthesisOutcome::Complete(c) => c,
-            SynthesisOutcome::Truncated { best_so_far } => best_so_far,
-        }
-    }
-
-    /// Consumes the outcome, returning the finished candidates.
-    pub fn into_candidates(self) -> Vec<Candidate> {
-        match self {
-            SynthesisOutcome::Complete(c) => c,
-            SynthesisOutcome::Truncated { best_so_far } => best_so_far,
-        }
-    }
-
-    /// Whether the node budget truncated the search.
-    pub fn is_truncated(&self) -> bool {
-        matches!(self, SynthesisOutcome::Truncated { .. })
-    }
-}
-
 /// The layout synthesis engine: produces candidate programs for a tile-level
 /// program on a target architecture.
 ///
@@ -160,53 +117,28 @@ impl<'a> Synthesizer<'a> {
     /// Returns an error when the program cannot be mapped at all (e.g. no
     /// Tensor Core instruction for the operand types).
     pub fn synthesize(&self) -> Result<Vec<Candidate>> {
-        Ok(self.synthesize_with_stats()?.0)
+        Ok(self.synthesize_with_stats(None)?.0)
     }
 
-    /// [`Synthesizer::synthesize`] plus the prefix-sharing and parallel-walk
-    /// counters (see [`crate::prefix::PrefixStats`]); the stats are `None`
-    /// when the re-evaluating reference path ran instead of the incremental
-    /// search.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Synthesizer::synthesize`].
-    pub fn synthesize_with_stats(
-        &self,
-    ) -> Result<(Vec<Candidate>, Option<crate::prefix::PrefixStats>)> {
-        let (outcome, stats) = self.synthesize_outcome(None)?;
-        Ok((outcome.into_candidates(), stats))
-    }
-
-    /// The full synthesis with both bounding mechanisms exposed: the
-    /// deterministic node budget of [`SynthesisOptions::node_budget`]
-    /// (reported as [`SynthesisOutcome::Truncated`]) and an optional
-    /// wall-clock [`CancelToken`] polled cooperatively at row granularity by
-    /// the walks and at job granularity by the worker pool.
+    /// [`Synthesizer::synthesize`] with an optional wall-clock
+    /// [`CancelToken`], polled cooperatively at row granularity by the walks
+    /// and at job granularity by the worker pool, plus the prefix-sharing
+    /// and parallel-walk counters (see [`crate::prefix::PrefixStats`]); the
+    /// stats are `None` when the re-evaluating reference path ran instead of
+    /// the incremental search.
     ///
     /// # Errors
     ///
     /// Same as [`Synthesizer::synthesize`], plus
     /// [`SynthesisError::Cancelled`] when `token` trips mid-search —
     /// cancellation never yields a partial candidate list.
-    pub fn synthesize_outcome(
+    pub fn synthesize_with_stats(
         &self,
         token: Option<&CancelToken>,
-    ) -> Result<(SynthesisOutcome, Option<crate::prefix::PrefixStats>)> {
+    ) -> Result<(Vec<Candidate>, Option<crate::prefix::PrefixStats>)> {
         let base = self.solve_tv()?;
         let plans = self.build_copy_plans(&base)?;
-        let mut selections = self.enumerate_selections(&plans);
-        // The node budget truncates the deterministic enumeration *before*
-        // either evaluation path fans out, which is what makes a truncated
-        // outcome bit-identical across worker counts and options. (A budget
-        // of 0 is clamped to 1: the preferred selection always runs.)
-        let truncated = match self.options.node_budget {
-            Some(budget) if selections.len() > budget.max(1) => {
-                selections.truncate(budget.max(1));
-                true
-            }
-            _ => false,
-        };
+        let selections = self.enumerate_selections(&plans);
         let max = self.options.max_candidates.max(1);
         let (finished, stats) = if self.options.incremental {
             let (finished, stats) =
@@ -221,14 +153,7 @@ impl<'a> Synthesizer<'a> {
         if finished.is_empty() {
             return Err(SynthesisError::NoCandidates);
         }
-        let outcome = if truncated {
-            SynthesisOutcome::Truncated {
-                best_so_far: finished,
-            }
-        } else {
-            SynthesisOutcome::Complete(finished)
-        };
-        Ok((outcome, stats))
+        Ok((finished, stats))
     }
 
     /// The reference evaluation: every candidate is materialized and its
@@ -1048,13 +973,12 @@ impl<'a> Synthesizer<'a> {
     }
 
     /// The branch-and-bound search: enumerates the same deterministic
-    /// selection list as [`Synthesizer::synthesize_outcome`] (including the
-    /// node-budget truncation), but walks it best-known-first with an
-    /// incumbent `(score, index)` pair, cutting every subtree and leaf whose
-    /// admissible completion bound (from `bounder`) cannot beat the
-    /// incumbent lexicographically — equal-bound subtrees behind the
-    /// incumbent's index lose the first-minimal tie-break too. Only the
-    /// winner is finished, scored and returned; in exact mode (no beam) it
+    /// selection list as [`Synthesizer::synthesize`], but walks it
+    /// best-known-first with an incumbent `(score, index)` pair, cutting
+    /// every subtree and leaf whose admissible completion bound (from
+    /// `bounder`) cannot beat the incumbent lexicographically — equal-bound
+    /// subtrees behind the incumbent's index lose the first-minimal
+    /// tie-break too. Only the winner is finished, scored and returned; it
     /// is **bit-identical** — candidate and score — to the argmin the
     /// exhaustive selection loop computes with the same tie-breaking
     /// (earliest enumeration index among equal scores, matching
@@ -1063,17 +987,13 @@ impl<'a> Synthesizer<'a> {
     /// Returns `Ok(None)` when pruning cannot reproduce exhaustive
     /// semantics: `max_candidates` caps *finished* candidates, and a pruned
     /// walk skips leaves without learning their feasibility, so whenever the
-    /// cap could bind (more selections than the cap, without a beam) the
-    /// caller must fall back to the exhaustive path. With the default cap
-    /// this never triggers.
-    ///
-    /// With [`SynthesisOptions::beam_width`] set, per-depth prefix frontiers
-    /// are truncated by bound rank (stable, enumeration-ordered) before the
-    /// walk — lossy but bit-identical across worker counts.
+    /// cap could bind (more selections than the cap) the caller must fall
+    /// back to the exhaustive path. With the default cap this never
+    /// triggers.
     ///
     /// # Errors
     ///
-    /// Same as [`Synthesizer::synthesize_outcome`]: mapping failures,
+    /// Same as [`Synthesizer::synthesize_with_stats`]: mapping failures,
     /// [`SynthesisError::NoCandidates`] when no feasible candidate exists
     /// (nothing is pruned while the incumbent is infinite, so this is
     /// equivalent to the exhaustive search finding none), and
@@ -1085,35 +1005,12 @@ impl<'a> Synthesizer<'a> {
     ) -> Result<Option<crate::PrunedOutcome>> {
         let base = self.solve_tv()?;
         let plans = self.build_copy_plans(&base)?;
-        let mut selections = self.enumerate_selections(&plans);
-        let truncated = match self.options.node_budget {
-            Some(budget) if selections.len() > budget.max(1) => {
-                selections.truncate(budget.max(1));
-                true
-            }
-            _ => false,
-        };
-        let beam = self.options.beam_width.map(|w| w.max(1));
-        if beam.is_none() && selections.len() > self.options.max_candidates.max(1) {
+        let selections = self.enumerate_selections(&plans);
+        if selections.len() > self.options.max_candidates.max(1) {
             return Ok(None);
         }
         bounder.prepare(&self.space_from_plans(&plans));
-        let mut beam_bound_evaluations = 0usize;
-        let beamed = match beam {
-            Some(width) => self.beam_filter(
-                &base,
-                &plans,
-                &mut selections,
-                width,
-                &*bounder,
-                &mut beam_bound_evaluations,
-            ),
-            None => false,
-        };
-        let enumerated = selections.len();
-        let (winner, mut stats) =
-            self.evaluate_pruned(&base, &plans, &selections, &*bounder, token)?;
-        stats.bound_evaluations += beam_bound_evaluations;
+        let (winner, stats) = self.evaluate_pruned(&base, &plans, &selections, &*bounder, token)?;
         let Some((winner_index, winner, score)) = winner else {
             return Err(SynthesisError::NoCandidates);
         };
@@ -1121,64 +1018,9 @@ impl<'a> Synthesizer<'a> {
             winner,
             score,
             winner_index,
-            enumerated,
-            truncated,
-            beamed,
+            enumerated: selections.len(),
             stats,
         }))
-    }
-
-    /// Truncates each per-depth prefix frontier to the `width` prefixes with
-    /// the best completion bounds. Everything is deterministic and
-    /// worker-independent: prefixes are listed in first-occurrence
-    /// (enumeration) order, ranked by `(bound, first occurrence)` under
-    /// [`f64::total_cmp`], and surviving selections keep their enumeration
-    /// order. Returns whether any prefix was dropped.
-    fn beam_filter<B: crate::SearchBounder + ?Sized>(
-        &self,
-        base: &TvBase,
-        plans: &[CopyPlan],
-        selections: &mut Vec<Vec<usize>>,
-        width: usize,
-        bounder: &B,
-        bound_evaluations: &mut usize,
-    ) -> bool {
-        let mut any_dropped = false;
-        for depth in 1..=plans.len() {
-            let mut prefixes: Vec<Vec<usize>> = Vec::new();
-            for sel in selections.iter() {
-                let prefix = sel[..depth].to_vec();
-                if !prefixes.contains(&prefix) {
-                    prefixes.push(prefix);
-                }
-            }
-            if prefixes.len() <= width {
-                continue;
-            }
-            any_dropped = true;
-            let undecided: Vec<OpId> = plans[depth..].iter().map(|p| p.op).collect();
-            let mut ranked: Vec<(f64, usize)> = prefixes
-                .iter()
-                .enumerate()
-                .map(|(i, prefix)| {
-                    let first = selections
-                        .iter()
-                        .find(|sel| sel[..depth] == prefix[..])
-                        .expect("every prefix came from a selection");
-                    let candidate = self.materialize_candidate(base, plans, first);
-                    *bound_evaluations += 1;
-                    (bounder.completion_bound(&candidate, &undecided), i)
-                })
-                .collect();
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let kept: std::collections::BTreeSet<Vec<usize>> = ranked
-                .iter()
-                .take(width)
-                .map(|&(_, i)| prefixes[i].clone())
-                .collect();
-            selections.retain(|sel| kept.contains(&sel[..depth]));
-        }
-        any_dropped
     }
 }
 
@@ -1681,52 +1523,6 @@ mod tests {
     }
 
     #[test]
-    fn node_budget_truncates_deterministically() {
-        let program = register_gemm_program();
-        let arch = GpuArch::a100();
-        let exhaustive = Synthesizer::new(&program, &arch, SynthesisOptions::default())
-            .synthesize()
-            .unwrap();
-        assert!(exhaustive.len() > 2, "fixture must enumerate alternatives");
-
-        // Budget ≥ the full space: a Complete outcome, identical candidates.
-        let roomy = SynthesisOptions {
-            node_budget: Some(10_000),
-            ..SynthesisOptions::default()
-        };
-        let (outcome, _) = Synthesizer::new(&program, &arch, roomy)
-            .synthesize_outcome(None)
-            .unwrap();
-        assert!(!outcome.is_truncated());
-        assert_eq!(outcome.candidates(), &exhaustive[..]);
-
-        // A tight budget truncates: the preferred prefix of the exhaustive
-        // list, bit-identical across the serial and parallel walks and the
-        // reference path.
-        let mut results = Vec::new();
-        for (incremental, workers) in [(true, 1), (true, 4), (false, 1)] {
-            let tight = SynthesisOptions {
-                node_budget: Some(2),
-                incremental,
-                parallel_workers: Some(workers),
-                ..SynthesisOptions::default()
-            };
-            let (outcome, _) = Synthesizer::new(&program, &arch, tight)
-                .synthesize_outcome(None)
-                .unwrap();
-            assert!(outcome.is_truncated(), "2 < full space must truncate");
-            results.push(outcome.into_candidates());
-        }
-        assert_eq!(results[0], results[1], "serial vs parallel walk");
-        assert_eq!(results[0], results[2], "incremental vs reference");
-        assert_eq!(
-            results[0],
-            exhaustive[..results[0].len()],
-            "a truncated search is a prefix of the exhaustive one"
-        );
-    }
-
-    #[test]
     fn cancelled_token_yields_a_typed_error_not_a_partial_list() {
         use hexcute_parallel::cancel::{CancelReason, CancelToken};
         let program = register_gemm_program();
@@ -1739,7 +1535,7 @@ mod tests {
                 ..SynthesisOptions::default()
             };
             let synth = Synthesizer::new(&program, &arch, options);
-            match synth.synthesize_outcome(Some(&token)) {
+            match synth.synthesize_with_stats(Some(&token)) {
                 Err(SynthesisError::Cancelled(CancelReason::Deadline)) => {}
                 other => panic!("expected a typed cancellation, got {other:?}"),
             }

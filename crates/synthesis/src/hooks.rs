@@ -113,7 +113,6 @@ pub(crate) fn injected_stall(token: Option<&CancelToken>) -> Option<CancelReason
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn no_hook_means_no_delay() {
@@ -134,11 +133,13 @@ mod tests {
     #[test]
     fn stall_is_interrupted_by_cancellation() {
         // Install a hook stalling 10 s; cancel from another thread after a
-        // few ms: the stall must return the reason long before 10 s.
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = calls.clone();
+        // few ms: the stall must return the reason long before 10 s. The
+        // hook is process-wide, so it stalls only this test's thread: a
+        // sibling test's synthesis must neither take the stall nor wait on
+        // it.
+        let me = std::thread::current().id();
         set_synth_fault_hook(Some(Arc::new(move |point| {
-            (point == SynthFaultPoint::Stall && c.fetch_add(1, Ordering::Relaxed) == 0)
+            (point == SynthFaultPoint::Stall && std::thread::current().id() == me)
                 .then(|| Duration::from_secs(10))
         })));
         let token = CancelToken::new();

@@ -29,23 +29,18 @@
 //! [`SynthesisOptions::incremental`]` = false` and is cross-checked
 //! bit-for-bit.
 //!
-//! Searches can be bounded two ways: a deterministic node budget
-//! ([`SynthesisOptions::node_budget`] / `HEXCUTE_SYNTH_BUDGET`) truncates the
-//! enumeration up front and reports [`SynthesisOutcome::Truncated`]
-//! bit-identically at any worker count, while a wall-clock [`CancelToken`]
-//! (deadline, watchdog, shutdown) is polled cooperatively at row granularity
-//! and aborts the walk with a typed [`SynthesisError::Cancelled`] — never a
-//! partial result.
+//! The search is exact: every selection of the DFS tree is enumerated. A
+//! wall-clock [`CancelToken`] (deadline, watchdog, shutdown) is polled
+//! cooperatively at row granularity and aborts the walk with a typed
+//! [`SynthesisError::Cancelled`] — never a partial result.
 //!
 //! When the caller can score candidates (the compiler's cost model), the
 //! search can also run as lossless branch-and-bound
 //! ([`Synthesizer::synthesize_pruned`] with a [`SearchBounder`]): subtrees
 //! whose admissible completion bound cannot beat the shared incumbent are
-//! cut, and the winner is bit-identical to the exhaustive argmin. An
-//! optional deterministic beam ([`SynthesisOptions::beam_width`] /
-//! `HEXCUTE_SYNTH_BEAM`) truncates per-depth frontiers by bound rank —
-//! lossy, but bit-identical across worker counts. The exhaustive ranking
-//! stays available behind [`SynthesisOptions::prune`]` = false`.
+//! cut, and the winner is bit-identical to the exhaustive argmin. The
+//! exhaustive ranking stays available behind
+//! [`SynthesisOptions::prune`]` = false`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -66,7 +61,7 @@ pub use constraints::{
     collapse_dim, contiguous_run_along, copy_constraint_holds, gemm_constraint_holds,
     same_distribution, solve_copy_peer,
 };
-pub use engine::{SynthesisOutcome, Synthesizer};
+pub use engine::Synthesizer;
 pub use error::{Result, SynthesisError};
 pub use hexcute_parallel::cancel::{CancelReason, CancelToken};
 pub use hooks::{set_synth_fault_hook, SynthFaultHook, SynthFaultPoint};

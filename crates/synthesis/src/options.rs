@@ -52,15 +52,6 @@ pub struct SynthesisOptions {
     /// (i.e. `HEXCUTE_THREADS`); tests and benchmarks set an explicit count
     /// because mutating the environment of a threaded process is unsafe.
     pub parallel_workers: Option<usize>,
-    /// Deterministic node-count budget for the search: at most this many
-    /// selections (leaves of the choice tree) are evaluated, truncating the
-    /// deterministic enumeration *before* the walk fans out. A truncated
-    /// search reports `SynthesisOutcome::Truncated` with the best candidates
-    /// found so far — bit-identical at any worker count and toggle, unlike
-    /// wall-clock cancellation which yields typed errors only. `None` (the
-    /// default) searches exhaustively; the environment default comes from
-    /// `HEXCUTE_SYNTH_BUDGET` (unset or `0` means unbudgeted).
-    pub node_budget: Option<usize>,
     /// Prune the search with branch-and-bound: cut subtrees whose admissible
     /// lower bound (from [`crate::SearchBounder`]) cannot beat the incumbent
     /// best score. Pruning is *lossless* — the winning candidate and its
@@ -71,39 +62,6 @@ pub struct SynthesisOptions {
     /// walk rides on the incremental search, so the compiler prunes only
     /// when `incremental` is on too.
     pub prune: bool,
-    /// Deterministic beam width for the pruned search: at each choice depth,
-    /// keep only the `width` distinct prefixes with the best completion
-    /// bounds (ties broken by enumeration order) before the walk fans out.
-    /// Unlike exact branch-and-bound this is *lossy* — the winner may differ
-    /// from exhaustive search — so a set beam width participates in the
-    /// stable hash. It is still bit-identical across worker counts and
-    /// toggles. `None` (the default) disables the beam; the environment
-    /// default comes from `HEXCUTE_SYNTH_BEAM` (unset or `0` means no beam).
-    pub beam_width: Option<usize>,
-}
-
-/// The process-wide default node budget, parsed once from
-/// `HEXCUTE_SYNTH_BUDGET`. Unset, unparsable or `0` all mean "no budget".
-fn env_node_budget() -> Option<usize> {
-    static BUDGET: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("HEXCUTE_SYNTH_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0)
-    })
-}
-
-/// The process-wide default beam width, parsed once from
-/// `HEXCUTE_SYNTH_BEAM`. Unset, unparsable or `0` all mean "no beam".
-fn env_beam_width() -> Option<usize> {
-    static BEAM: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *BEAM.get_or_init(|| {
-        std::env::var("HEXCUTE_SYNTH_BEAM")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w > 0)
-    })
 }
 
 impl Default for SynthesisOptions {
@@ -122,9 +80,7 @@ impl Default for SynthesisOptions {
             incremental: true,
             parallel_subtree_depth: None,
             parallel_workers: None,
-            node_budget: env_node_budget(),
             prune: true,
-            beam_width: env_beam_width(),
         }
     }
 }
@@ -156,13 +112,6 @@ impl SynthesisOptions {
     ///   the serial exhaustive reference, so they cannot change the winning
     ///   candidate — hashing them would only fragment the cache across
     ///   thread counts and prune toggles.
-    /// * `node_budget` participates **only when set**: a budgeted search may
-    ///   return different (truncated) candidates, so budgeted artifacts must
-    ///   never alias full-search artifacts — while the unbudgeted hash stays
-    ///   byte-compatible with caches written before budgets existed.
-    /// * `beam_width` likewise participates **only when set** (under a
-    ///   distinct tag): beam search is lossy, so beamed artifacts must never
-    ///   alias exact-search artifacts.
     pub fn hash_stable<H: std::hash::Hasher>(&self, state: &mut H) {
         use std::hash::Hash;
         self.allow_ldmatrix.hash(state);
@@ -175,14 +124,6 @@ impl SynthesisOptions {
         self.force_row_major_smem.hash(state);
         self.disable_swizzles.hash(state);
         self.allow_non_power_of_two_tiles.hash(state);
-        if let Some(budget) = self.node_budget {
-            1u8.hash(state);
-            budget.hash(state);
-        }
-        if let Some(width) = self.beam_width {
-            2u8.hash(state);
-            width.hash(state);
-        }
     }
 
     /// Options mimicking the "Triton shared-memory layout" ablation of
@@ -216,41 +157,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn node_budget_fragments_the_stable_hash_only_when_set() {
-        fn fp(o: &SynthesisOptions) -> u64 {
-            let mut h = std::hash::DefaultHasher::new();
-            o.hash_stable(&mut h);
-            std::hash::Hasher::finish(&h)
-        }
-        let unbudgeted = SynthesisOptions {
-            node_budget: None,
-            ..SynthesisOptions::default()
-        };
-        let threaded = SynthesisOptions {
-            parallel_workers: Some(7),
-            ..unbudgeted.clone()
-        };
-        assert_eq!(fp(&unbudgeted), fp(&threaded), "workers never fragment");
-        let budgeted = SynthesisOptions {
-            node_budget: Some(8),
-            ..unbudgeted.clone()
-        };
-        assert_ne!(fp(&unbudgeted), fp(&budgeted), "budgets must not alias");
+    fn fp(o: &SynthesisOptions) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        o.hash_stable(&mut h);
+        std::hash::Hasher::finish(&h)
     }
 
     #[test]
-    fn beam_width_fragments_the_stable_hash_but_prune_does_not() {
-        fn fp(o: &SynthesisOptions) -> u64 {
-            let mut h = std::hash::DefaultHasher::new();
-            o.hash_stable(&mut h);
-            std::hash::Hasher::finish(&h)
-        }
-        let base = SynthesisOptions {
-            node_budget: None,
-            beam_width: None,
-            ..SynthesisOptions::default()
+    fn workers_never_change_the_stable_hash() {
+        let base = SynthesisOptions::default();
+        let threaded = SynthesisOptions {
+            parallel_workers: Some(7),
+            ..base.clone()
         };
+        assert_eq!(fp(&base), fp(&threaded), "workers never fragment");
+    }
+
+    #[test]
+    fn prune_never_changes_the_stable_hash() {
+        let base = SynthesisOptions::default();
         let unpruned = SynthesisOptions {
             prune: false,
             ..base.clone()
@@ -259,26 +184,6 @@ mod tests {
             fp(&base),
             fp(&unpruned),
             "exact B&B is lossless, so the prune toggle never fragments"
-        );
-        let beamed = SynthesisOptions {
-            beam_width: Some(2),
-            ..base.clone()
-        };
-        assert_ne!(
-            fp(&base),
-            fp(&beamed),
-            "beam search is lossy, must not alias"
-        );
-        // The beam tag (2u8) must not collide with the budget tag (1u8) at
-        // equal widths/budgets.
-        let budgeted = SynthesisOptions {
-            node_budget: Some(2),
-            ..base.clone()
-        };
-        assert_ne!(
-            fp(&budgeted),
-            fp(&beamed),
-            "beam and budget tags are distinct"
         );
     }
 

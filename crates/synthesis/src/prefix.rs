@@ -166,8 +166,7 @@ pub struct PrefixStats {
     /// Worker threads the walk used (1 = serial walk).
     pub workers: usize,
     /// Admissible completion bounds evaluated by the pruned walk (group
-    /// prefixes, individual leaves and beam frontiers). Zero for the
-    /// exhaustive walks.
+    /// prefixes and individual leaves). Zero for the exhaustive walks.
     pub bound_evaluations: usize,
     /// Subtree groups cut whole because their prefix bound could not beat
     /// the incumbent. Depends on incumbent timing: **not** deterministic

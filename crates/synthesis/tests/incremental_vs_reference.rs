@@ -192,7 +192,7 @@ fn parallel_walk_reports_subtrees_and_workers() {
             ..SynthesisOptions::default()
         },
     )
-    .synthesize_with_stats()
+    .synthesize_with_stats(None)
     .unwrap();
     let stats = stats.expect("incremental search reports stats");
     assert!(candidates.len() > 1);
@@ -221,7 +221,7 @@ fn parallel_walk_reports_subtrees_and_workers() {
             ..SynthesisOptions::default()
         },
     )
-    .synthesize_with_stats()
+    .synthesize_with_stats(None)
     .unwrap();
     let serial_stats = serial_stats.unwrap();
     assert_eq!(serial_stats.subtrees, 1);
