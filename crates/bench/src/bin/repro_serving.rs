@@ -5,13 +5,8 @@
 //! The request stream (every Fig. 13 model × batch size) is served three
 //! times: cold (empty cache), memory-warm (same service) and disk-warm (a
 //! fresh service over the same cache directory, i.e. a process restart).
-//! Warm results are asserted bit-identical to cold ones.
-//!
-//! The cache directory defaults to a per-process temporary directory
-//! (removed afterwards); set `HEXCUTE_CACHE_DIR` to persist the artifacts —
-//! the harness then uses a fresh per-process subdirectory underneath it, so
-//! the cold pass stays genuinely cold on repeat runs (a pre-populated
-//! directory would silently measure warm-vs-warm).
+//! Warm results are asserted bit-identical to cold ones. The cache lives in
+//! a per-process temporary directory that is removed afterwards.
 //!
 //! Usage: `cargo run --release --bin repro_serving [-- output.json]`
 
@@ -19,16 +14,8 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_pr4.json".to_string());
-    let (cache_dir, transient) = match std::env::var("HEXCUTE_CACHE_DIR") {
-        Ok(dir) => (
-            std::path::PathBuf::from(dir).join(format!("repro-serving-{}", std::process::id())),
-            false,
-        ),
-        Err(_) => (
-            std::env::temp_dir().join(format!("hexcute-serving-cache-{}", std::process::id())),
-            true,
-        ),
-    };
+    let cache_dir =
+        std::env::temp_dir().join(format!("hexcute-serving-cache-{}", std::process::id()));
 
     let (entries, notes) = hexcute_bench::serving_bench::serving_entries(&cache_dir);
     let mut report = hexcute_bench::fastpath::as_report(&entries);
@@ -39,11 +26,7 @@ fn main() {
     print!("{report}");
     hexcute_bench::print_shared_cache_summary();
 
-    if transient {
-        std::fs::remove_dir_all(&cache_dir).ok();
-    } else {
-        println!("\nartifact cache persisted at {}", cache_dir.display());
-    }
+    std::fs::remove_dir_all(&cache_dir).ok();
 
     match hexcute_bench::fastpath::write_json_named(
         &out_path,

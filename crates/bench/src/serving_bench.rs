@@ -109,17 +109,11 @@ pub fn serving_entries(cache_dir: &Path) -> (Vec<FastPathEntry>, Vec<String>) {
         cold_reports, disk_reports,
         "disk-warm serving must be bit-identical to cold serving"
     );
-    // Under HEXCUTE_FAULTS, injected disk corruption legitimately forces
-    // re-syntheses on the warm restart (they heal the cache, and the
-    // bit-identity assertion above still holds); the cache-hit-count
-    // invariant only applies to a fault-free run.
-    if hexcute_core::faults::global().is_none() {
-        assert_eq!(
-            restarted.stats().syntheses,
-            0,
-            "a warm restart must serve entirely from the artifact cache"
-        );
-    }
+    assert_eq!(
+        restarted.stats().syntheses,
+        0,
+        "a warm restart must serve entirely from the artifact cache"
+    );
 
     let mut entries = Vec::new();
     for (i, (model, batch)) in request_matrix().into_iter().enumerate() {

@@ -19,9 +19,9 @@
 //! a cache directory, with an in-memory [`ShardedMap`] front so repeat
 //! lookups in one process never touch the filesystem. The cache is
 //! defensive: corrupt files, artifacts written by a different
-//! [`ARTIFACT_VERSION`], fingerprint mismatches and TTL-expired entries are
-//! rejected (and deleted) so the caller re-synthesizes; every outcome is
-//! counted in [`KernelCacheStats`].
+//! [`ARTIFACT_VERSION`] and fingerprint mismatches are rejected (and moved
+//! aside or deleted) so the caller re-synthesizes; every outcome is counted
+//! in [`KernelCacheStats`].
 //!
 //! ```
 //! use hexcute_arch::{DType, GpuArch};
@@ -61,7 +61,7 @@ use hexcute_ir::Program;
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
 
 use crate::compiler::{CompiledKernel, CompilerOptions};
-use crate::faults::{self, FaultInjector, FaultKind};
+use crate::faults::{FaultInjector, FaultKind};
 use crate::json::{JsonError, JsonValue};
 
 /// Version tag written into every artifact file. Bump it whenever the
@@ -660,23 +660,27 @@ impl fmt::Display for ArtifactSource {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelCacheConfig {
     /// Directory for the persistent store. `None` (the default) keeps the
-    /// cache memory-only.
+    /// cache memory-only. Point it at persistent storage so artifacts
+    /// survive process restarts; it is created on first store.
     pub dir: Option<PathBuf>,
     /// Approximate bound on resident in-memory artifacts (shard-wise
-    /// eviction, see [`ShardedMap::bounded`]).
+    /// eviction, see [`ShardedMap::bounded`]). Raise it if one process
+    /// serves more distinct kernels than this; an artifact is a few tens
+    /// of KB.
     pub memory_capacity: usize,
     /// Maximum artifact files kept on disk; the oldest (by modification
     /// time) are pruned after each store.
     pub disk_capacity: usize,
-    /// Entries older than this — by insertion time for the memory front, by
-    /// file modification time on disk — are treated as stale (disk files are
-    /// deleted) and re-synthesized. `None` disables expiry.
-    pub ttl: Option<Duration>,
     /// Consecutive disk-write failures that trip the circuit breaker into
-    /// memory-only mode. `0` disables the breaker.
+    /// memory-only mode (reads and writes skip the disk tier). `0` disables
+    /// the breaker. Lower it where failures are strongly correlated (a full
+    /// disk stays full); raise it where transient write errors are common
+    /// and harmless.
     pub breaker_threshold: usize,
     /// While the breaker is open, one probe write per interval tests whether
     /// the disk tier has recovered; a successful probe closes the breaker.
+    /// A shorter interval recovers sooner at the cost of more attempts
+    /// against a broken disk.
     pub breaker_probe_interval: Duration,
 }
 
@@ -686,51 +690,8 @@ impl Default for KernelCacheConfig {
             dir: None,
             memory_capacity: 256,
             disk_capacity: 1024,
-            ttl: None,
             breaker_threshold: 8,
             breaker_probe_interval: Duration::from_millis(500),
-        }
-    }
-}
-
-impl KernelCacheConfig {
-    /// Reads the configuration from the environment:
-    ///
-    /// | Variable | Meaning | Default |
-    /// |---|---|---|
-    /// | `HEXCUTE_CACHE_DIR` | persistent store directory | unset → memory-only |
-    /// | `HEXCUTE_CACHE_CAPACITY` | in-memory artifact bound | 256 |
-    /// | `HEXCUTE_CACHE_DISK_CAPACITY` | max artifact files on disk | 1024 |
-    /// | `HEXCUTE_CACHE_TTL_SECS` | artifact time-to-live in seconds (`0` = everything is immediately stale) | unset → no expiry |
-    /// | `HEXCUTE_CACHE_BREAKER_THRESHOLD` | consecutive write failures tripping memory-only mode (`0` = never) | 8 |
-    /// | `HEXCUTE_CACHE_BREAKER_PROBE_MS` | milliseconds between recovery probes while tripped | 500 |
-    ///
-    /// Unparsable numeric values fall back to the defaults.
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let parse = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(default)
-        };
-        KernelCacheConfig {
-            dir: std::env::var("HEXCUTE_CACHE_DIR").ok().map(PathBuf::from),
-            memory_capacity: parse("HEXCUTE_CACHE_CAPACITY", defaults.memory_capacity),
-            disk_capacity: parse("HEXCUTE_CACHE_DISK_CAPACITY", defaults.disk_capacity),
-            ttl: std::env::var("HEXCUTE_CACHE_TTL_SECS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(Duration::from_secs),
-            breaker_threshold: parse(
-                "HEXCUTE_CACHE_BREAKER_THRESHOLD",
-                defaults.breaker_threshold,
-            ),
-            breaker_probe_interval: std::env::var("HEXCUTE_CACHE_BREAKER_PROBE_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(Duration::from_millis)
-                .unwrap_or(defaults.breaker_probe_interval),
         }
     }
 }
@@ -849,8 +810,6 @@ pub struct KernelCacheStats {
     /// Files rejected for carrying a different [`ARTIFACT_VERSION`] and
     /// deleted.
     pub stale_version: u64,
-    /// Files expired by the TTL and deleted.
-    pub expired: u64,
     /// Artifacts written to disk.
     pub stores: u64,
     /// Files pruned by the disk-capacity bound.
@@ -880,7 +839,7 @@ impl fmt::Display for KernelCacheStats {
         write!(
             f,
             "memory: {}; disk: {} hits / {} misses, {} stored, {} resident, \
-             {} corrupt, {} stale-version, {} expired, {} pruned, \
+             {} corrupt, {} stale-version, {} pruned, \
              {} quarantined, {} write-failures, {} rename-races; \
              breaker: {} ({} trips, {} recoveries, {} skips)",
             self.memory,
@@ -890,7 +849,6 @@ impl fmt::Display for KernelCacheStats {
             self.disk_entries,
             self.corrupt,
             self.stale_version,
-            self.expired,
             self.file_evictions,
             self.quarantined,
             self.write_failures,
@@ -910,7 +868,7 @@ impl fmt::Display for KernelCacheStats {
 /// Artifacts are written crash-consistently (temp file, fsync, atomic
 /// rename), so a concurrent reader never observes a partial file even across
 /// power loss, and every defect a reader *can* observe (corruption, version
-/// drift, expiry) is rejected and counted instead of surfacing as an error —
+/// drift) is rejected and counted instead of surfacing as an error —
 /// corrupt files are quarantined (renamed aside for post-mortem inspection)
 /// and the caller just re-synthesizes. Persistent write failure trips a
 /// circuit breaker into memory-only mode with probe-based recovery, and
@@ -919,16 +877,13 @@ impl fmt::Display for KernelCacheStats {
 #[derive(Debug)]
 pub struct KernelCache {
     config: KernelCacheConfig,
-    /// Each resident artifact carries its insertion instant so the TTL
-    /// applies to the memory front too, not just the disk files.
-    memory: ShardedMap<u64, (Arc<KernelArtifact>, Instant)>,
+    memory: ShardedMap<u64, Arc<KernelArtifact>>,
     faults: Option<Arc<FaultInjector>>,
     breaker: Breaker,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     corrupt: AtomicU64,
     stale_version: AtomicU64,
-    expired: AtomicU64,
     stores: AtomicU64,
     file_evictions: AtomicU64,
     quarantined: AtomicU64,
@@ -938,16 +893,14 @@ pub struct KernelCache {
 }
 
 impl KernelCache {
-    /// Creates a cache with the given configuration. The cache directory is
-    /// created lazily on first store. Fault injection follows the global
-    /// `HEXCUTE_FAULTS` injector ([`faults::global`]); use
-    /// [`KernelCache::with_faults`] to inject a schedule in-process.
+    /// Creates a fault-free cache with the given configuration. The cache
+    /// directory is created lazily on first store.
     pub fn new(config: KernelCacheConfig) -> Self {
-        Self::with_faults(config, faults::global().cloned())
+        Self::with_faults(config, None)
     }
 
-    /// Creates a cache with an explicit fault injector (or `None` for a
-    /// fault-free cache regardless of the environment).
+    /// Creates a cache whose disk tier draws faults from `faults` (`None`
+    /// is the same as [`KernelCache::new`]).
     pub fn with_faults(config: KernelCacheConfig, faults: Option<Arc<FaultInjector>>) -> Self {
         let memory = ShardedMap::bounded(config.memory_capacity.max(1));
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_probe_interval);
@@ -960,7 +913,6 @@ impl KernelCache {
             disk_misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             stale_version: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             file_evictions: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -968,12 +920,6 @@ impl KernelCache {
             rename_races: AtomicU64::new(0),
             breaker_skips: AtomicU64::new(0),
         }
-    }
-
-    /// A cache configured from the `HEXCUTE_CACHE_*` environment variables
-    /// (see [`KernelCacheConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(KernelCacheConfig::from_env())
     }
 
     /// The active configuration.
@@ -992,20 +938,11 @@ impl KernelCache {
 
     /// Looks up an artifact: the in-memory front first, then the disk store.
     /// A disk hit is promoted into memory; a defective file (corrupt, wrong
-    /// version, wrong fingerprint, expired) is deleted and counted, and the
-    /// lookup reports a miss so the caller re-synthesizes. The TTL applies
-    /// to both tiers: an expired memory entry falls through (and is
-    /// overwritten by the re-synthesis), an expired file is deleted.
+    /// version, wrong fingerprint) is moved aside or deleted and counted,
+    /// and the lookup reports a miss so the caller re-synthesizes.
     pub fn get(&self, fingerprint: u64) -> Option<(Arc<KernelArtifact>, ArtifactSource)> {
-        if let Some((hit, inserted)) = self.memory.get(&fingerprint) {
-            match self.config.ttl {
-                Some(ttl) if inserted.elapsed() >= ttl => {
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    // Fall through to disk (typically expired too) and on to
-                    // re-synthesis; the insert overwrites this entry.
-                }
-                _ => return Some((hit, ArtifactSource::Memory)),
-            }
+        if let Some(hit) = self.memory.get(&fingerprint) {
+            return Some((hit, ArtifactSource::Memory));
         }
         let path = self.artifact_path(fingerprint)?;
         if self.breaker.is_open() {
@@ -1018,8 +955,7 @@ impl KernelCache {
             Some(artifact) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 let artifact = Arc::new(artifact);
-                self.memory
-                    .insert(fingerprint, (artifact.clone(), Instant::now()));
+                self.memory.insert(fingerprint, artifact.clone());
                 Some((artifact, ArtifactSource::Disk))
             }
             None => {
@@ -1030,17 +966,9 @@ impl KernelCache {
     }
 
     fn load(&self, path: &Path, fingerprint: u64) -> Option<KernelArtifact> {
-        let metadata = std::fs::metadata(path).ok()?;
-        if let (Some(ttl), Ok(modified)) = (self.config.ttl, metadata.modified()) {
-            let age = SystemTime::now()
-                .duration_since(modified)
-                .unwrap_or(Duration::ZERO);
-            if age >= ttl {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(path);
-                return None;
-            }
-        }
+        // Probe before the injected I/O delay: a miss (no file) must stay
+        // as cheap under a fault schedule as without one.
+        std::fs::metadata(path).ok()?;
         if let Some(f) = &self.faults {
             f.io_delay();
         }
@@ -1100,8 +1028,7 @@ impl KernelCache {
     /// probe write per probe interval.
     pub fn insert(&self, artifact: Arc<KernelArtifact>) {
         let fingerprint = artifact.fingerprint;
-        self.memory
-            .insert(fingerprint, (artifact.clone(), Instant::now()));
+        self.memory.insert(fingerprint, artifact.clone());
         let Some(path) = self.artifact_path(fingerprint) else {
             return;
         };
@@ -1240,7 +1167,6 @@ impl KernelCache {
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             stale_version: self.stale_version.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             file_evictions: self.file_evictions.load(Ordering::Relaxed),
             disk_entries: self.disk_entries(),
@@ -1278,7 +1204,6 @@ mod tests {
     fn config_defaults_are_memory_only() {
         let config = KernelCacheConfig::default();
         assert!(config.dir.is_none());
-        assert!(config.ttl.is_none());
         let cache = KernelCache::new(config);
         assert!(cache.get(123).is_none());
         assert_eq!(cache.artifact_path(123), None);

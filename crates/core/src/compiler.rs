@@ -126,7 +126,7 @@ pub enum CompileError {
         reason: CancelReason,
     },
     /// The service watchdog tripped on a runaway compile
-    /// (`HEXCUTE_WATCHDOG_MS`).
+    /// (`hexcute_e2e::ServiceConfig::watchdog`).
     SynthesisTimeout {
         /// How long the synthesis had been running when the watchdog fired.
         elapsed: std::time::Duration,

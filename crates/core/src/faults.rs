@@ -8,17 +8,18 @@
 //! kind from a seed, so any chaos run can be replayed exactly by rerunning
 //! with the same [`FaultSpec`].
 //!
-//! The spec is a comma-separated `key=value` string (the `HEXCUTE_FAULTS`
-//! environment variable), e.g.:
+//! A spec is built in code ([`FaultSpec::with_rate`], [`FaultSpec::with_seed`]
+//! and the duration fields) and prints, for reports, as a comma-separated
+//! `key=value` string, e.g.:
 //!
 //! ```text
-//! HEXCUTE_FAULTS=disk_read_corrupt=0.05,write_fail=0.02,seed=42
+//! disk_read_corrupt=0.3,disk_write_fail=0.2,stale_version=0.1,io_delay_us=200,seed=7
 //! ```
 //!
 //! | Key | Value | Injected failure |
 //! |---|---|---|
 //! | `disk_read_corrupt` | probability | artifact file content corrupted on read |
-//! | `disk_write_fail` / `write_fail` | probability | artifact store fails mid-write (ENOSPC-style) |
+//! | `disk_write_fail` | probability | artifact store fails mid-write (ENOSPC-style) |
 //! | `stale_version` | probability | artifact file rewritten with a wrong [`ARTIFACT_VERSION`] |
 //! | `synth_panic` | probability | an in-flight synthesis panics |
 //! | `worker_panic` | probability | a pool worker panics while running one job item |
@@ -29,23 +30,24 @@
 //! | `synth_stall_ms` | milliseconds | how long each injected `synth_stall` lasts (default 0 = no-op) |
 //! | `seed` | u64 | the replay seed (default 0) |
 //!
-//! Probabilities are clamped to `[0, 1]`. Unknown keys are an error so typos
-//! fail loudly. When `HEXCUTE_FAULTS` is unset, [`global()`] is `None` and
-//! every injection site reduces to one relaxed atomic load (or, in the pool,
-//! a process-global flag check) — the injector is compiled in but inert.
+//! Zero rates and durations are left out of the printed form. No injector
+//! exists by default and none comes from the environment: a component
+//! injects faults only when it is handed one.
 //!
 //! Consumers: `hexcute_core::cache` threads an injector through its disk
-//! tier, `hexcute-e2e`'s `CompileService` uses `synth_panic`,
-//! [`install_pool_hook`] wires `worker_panic`/`worker_death` into the
-//! `hexcute_parallel` worker pool, and [`install_synth_hook`] wires
-//! `synth_stall`/`cancel_race` into the synthesis walks of
-//! `hexcute_synthesis` (exercising the watchdog and cancellation paths).
+//! tier ([`KernelCache::with_faults`]), `hexcute-e2e`'s `CompileService`
+//! uses `synth_panic` (via `ServiceConfig::faults`), [`install_pool_hook`]
+//! wires `worker_panic`/`worker_death` into the `hexcute_parallel` worker
+//! pool, and [`install_synth_hook`] wires `synth_stall`/`cancel_race` into
+//! the synthesis walks of `hexcute_synthesis` (exercising the watchdog and
+//! cancellation paths).
 //!
 //! [`ARTIFACT_VERSION`]: crate::cache::ARTIFACT_VERSION
+//! [`KernelCache::with_faults`]: crate::cache::KernelCache::with_faults
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use hexcute_parallel::{set_pool_fault_hook, PoolFaultPoint};
@@ -89,7 +91,7 @@ pub const FAULT_KINDS: [FaultKind; 8] = [
 ];
 
 impl FaultKind {
-    /// The canonical spec-string key.
+    /// The key naming this kind in a spec's printed form.
     pub fn key(self) -> &'static str {
         match self {
             FaultKind::DiskReadCorrupt => "disk_read_corrupt",
@@ -110,20 +112,8 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A malformed fault-spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSpecError(pub String);
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fault spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
-
-/// A parsed fault schedule: per-kind probabilities, I/O latency and the
-/// replay seed. See the [module docs](self) for the grammar.
+/// A fault schedule: per-kind probabilities, I/O latency and the replay
+/// seed. See the [module docs](self) for its printed form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Per-kind injection probability, indexed by `FaultKind as usize`.
@@ -132,7 +122,7 @@ pub struct FaultSpec {
     pub io_delay: Duration,
     /// How long each injected [`FaultKind::SynthStall`] lasts. Zero (the
     /// default) makes an injected stall a no-op, so `synth_stall` schedules
-    /// must set `synth_stall_ms` explicitly.
+    /// must set it explicitly.
     pub synth_stall: Duration,
     /// Seed of the deterministic draw streams.
     pub seed: u64,
@@ -165,68 +155,6 @@ impl FaultSpec {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Parses a `key=value,...` spec string (the `HEXCUTE_FAULTS` grammar).
-    ///
-    /// # Errors
-    ///
-    /// [`FaultSpecError`] on unknown keys, missing `=`, or unparsable
-    /// values — chaos configurations must fail loudly, not silently no-op.
-    pub fn parse(text: &str) -> Result<Self, FaultSpecError> {
-        let mut spec = FaultSpec::default();
-        for part in text.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| FaultSpecError(format!("`{part}` is not key=value")))?;
-            let (key, value) = (key.trim(), value.trim());
-            let rate = || {
-                value
-                    .parse::<f64>()
-                    .map(|r| r.clamp(0.0, 1.0))
-                    .map_err(|_| {
-                        FaultSpecError(format!("`{key}` needs a probability, got `{value}`"))
-                    })
-            };
-            match key {
-                "disk_read_corrupt" | "read_corrupt" => {
-                    spec.rates[FaultKind::DiskReadCorrupt as usize] = rate()?
-                }
-                "disk_write_fail" | "write_fail" => {
-                    spec.rates[FaultKind::DiskWriteFail as usize] = rate()?
-                }
-                "stale_version" => spec.rates[FaultKind::StaleVersion as usize] = rate()?,
-                "synth_panic" => spec.rates[FaultKind::SynthPanic as usize] = rate()?,
-                "worker_panic" => spec.rates[FaultKind::WorkerPanic as usize] = rate()?,
-                "worker_death" => spec.rates[FaultKind::WorkerDeath as usize] = rate()?,
-                "synth_stall" => spec.rates[FaultKind::SynthStall as usize] = rate()?,
-                "cancel_race" => spec.rates[FaultKind::CancelRace as usize] = rate()?,
-                "synth_stall_ms" => {
-                    spec.synth_stall =
-                        Duration::from_millis(value.parse::<u64>().map_err(|_| {
-                            FaultSpecError(format!(
-                                "`synth_stall_ms` needs milliseconds, got `{value}`"
-                            ))
-                        })?)
-                }
-                "io_delay_us" => {
-                    spec.io_delay = Duration::from_micros(value.parse::<u64>().map_err(|_| {
-                        FaultSpecError(format!("`io_delay_us` needs microseconds, got `{value}`"))
-                    })?)
-                }
-                "seed" => {
-                    spec.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| FaultSpecError(format!("`seed` needs a u64, got `{value}`")))?
-                }
-                _ => return Err(FaultSpecError(format!("unknown key `{key}`"))),
-            }
-        }
-        Ok(spec)
     }
 }
 
@@ -361,25 +289,6 @@ impl FaultInjector {
     }
 }
 
-/// The process-global injector parsed from `HEXCUTE_FAULTS`, or `None` when
-/// the variable is unset (the common, zero-overhead case). A malformed spec
-/// warns once on stderr and disables injection rather than aborting.
-pub fn global() -> Option<&'static Arc<FaultInjector>> {
-    static GLOBAL: OnceLock<Option<Arc<FaultInjector>>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| match std::env::var("HEXCUTE_FAULTS") {
-            Ok(text) => match FaultSpec::parse(&text) {
-                Ok(spec) => Some(FaultInjector::new(spec)),
-                Err(e) => {
-                    eprintln!("hexcute: ignoring HEXCUTE_FAULTS: {e}");
-                    None
-                }
-            },
-            Err(_) => None,
-        })
-        .as_ref()
-}
-
 /// Wires `worker_panic` / `worker_death` into the `hexcute_parallel` worker
 /// pool. The hook holds a clone of the injector; [`clear_pool_hook`] (or
 /// installing another) releases it. When the injector's schedule has zero
@@ -400,14 +309,6 @@ pub fn install_pool_hook(injector: &Arc<FaultInjector>) {
 /// Removes any installed pool fault hook.
 pub fn clear_pool_hook() {
     set_pool_fault_hook(None);
-}
-
-/// Installs the pool hook for the global `HEXCUTE_FAULTS` injector, if any.
-/// Idempotent; called by the serving layer on construction.
-pub fn install_global_pool_hook() {
-    if let Some(injector) = global() {
-        install_pool_hook(injector);
-    }
 }
 
 /// Wires `synth_stall` / `cancel_race` into the synthesis walks of
@@ -437,56 +338,44 @@ pub fn clear_synth_hook() {
     set_synth_fault_hook(None);
 }
 
-/// Installs the synthesis hook for the global `HEXCUTE_FAULTS` injector, if
-/// any. Idempotent; called by the serving layer on construction.
-pub fn install_global_synth_hook() {
-    if let Some(injector) = global() {
-        install_synth_hook(injector);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_the_issue_example() {
-        let spec = FaultSpec::parse("disk_read_corrupt=0.05,write_fail=0.02,seed=42").unwrap();
-        assert_eq!(spec.rate(FaultKind::DiskReadCorrupt), 0.05);
-        assert_eq!(spec.rate(FaultKind::DiskWriteFail), 0.02);
-        assert_eq!(spec.rate(FaultKind::SynthPanic), 0.0);
-        assert_eq!(spec.seed, 42);
-        let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
-        assert_eq!(spec, reparsed);
-    }
-
-    #[test]
-    fn parse_rejects_garbage_loudly() {
-        assert!(FaultSpec::parse("disk_read_corrupt").is_err());
-        assert!(FaultSpec::parse("no_such_fault=0.5").is_err());
-        assert!(FaultSpec::parse("seed=abc").is_err());
-        assert!(FaultSpec::parse("worker_panic=maybe").is_err());
-        // Empty parts and whitespace are tolerated.
-        let spec = FaultSpec::parse(" io_delay_us=250 , , seed=7 ").unwrap();
-        assert_eq!(spec.io_delay, Duration::from_micros(250));
-        assert_eq!(spec.seed, 7);
-    }
-
-    #[test]
-    fn parse_round_trips_the_cancellation_faults() {
-        let spec =
-            FaultSpec::parse("synth_stall=0.25,cancel_race=0.1,synth_stall_ms=40,seed=9").unwrap();
-        assert_eq!(spec.rate(FaultKind::SynthStall), 0.25);
-        assert_eq!(spec.rate(FaultKind::CancelRace), 0.1);
-        assert_eq!(spec.synth_stall, Duration::from_millis(40));
-        let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
-        assert_eq!(spec, reparsed);
-        assert!(FaultSpec::parse("synth_stall_ms=soon").is_err());
+    fn display_prints_the_chaos_replay_specs() {
+        // `repro_robustness` reports each schedule's spec in this form
+        // (`BENCH_pr8.json`'s `spec` strings).
+        let disk_chaos = FaultSpec {
+            io_delay: Duration::from_micros(200),
+            ..FaultSpec::default()
+        }
+        .with_rate(FaultKind::DiskReadCorrupt, 0.30)
+        .with_rate(FaultKind::DiskWriteFail, 0.20)
+        .with_rate(FaultKind::StaleVersion, 0.10)
+        .with_seed(7);
+        assert_eq!(
+            disk_chaos.to_string(),
+            "disk_read_corrupt=0.3,disk_write_fail=0.2,stale_version=0.1,io_delay_us=200,seed=7"
+        );
+        let cancellation_storm = FaultSpec {
+            synth_stall: Duration::from_millis(5),
+            ..FaultSpec::default()
+        }
+        .with_rate(FaultKind::SynthStall, 0.10)
+        .with_rate(FaultKind::CancelRace, 0.10)
+        .with_seed(17);
+        assert_eq!(
+            cancellation_storm.to_string(),
+            "synth_stall=0.1,cancel_race=0.1,synth_stall_ms=5,seed=17"
+        );
     }
 
     #[test]
     fn rates_clamp_to_unit_interval() {
-        let spec = FaultSpec::parse("synth_panic=3.5,worker_death=-1").unwrap();
+        let spec = FaultSpec::default()
+            .with_rate(FaultKind::SynthPanic, 3.5)
+            .with_rate(FaultKind::WorkerDeath, -1.0);
         assert_eq!(spec.rate(FaultKind::SynthPanic), 1.0);
         assert_eq!(spec.rate(FaultKind::WorkerDeath), 0.0);
     }

@@ -51,7 +51,7 @@ pub use cache::{
     KernelCacheConfig, KernelCacheStats, StableHasher, ARTIFACT_VERSION,
 };
 pub use compiler::{CompileError, CompileStats, CompiledKernel, Compiler, CompilerOptions};
-pub use faults::{FaultInjector, FaultKind, FaultSpec, FaultSpecError};
+pub use faults::{FaultInjector, FaultKind, FaultSpec};
 
 pub use hexcute_costmodel::CostBreakdown;
 pub use hexcute_sim::PerfReport;

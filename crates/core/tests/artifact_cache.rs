@@ -1,13 +1,13 @@
 //! Robustness and bit-identity tests for the persistent kernel-artifact
 //! cache (PR 4): a cache hit — memory or disk — must return artifacts
 //! bit-identical to a fresh synthesis across all four kernel families, and
-//! every defective file (corrupt, stale version, expired) must be rejected
-//! and transparently re-synthesized.
+//! every defective file (corrupt, stale version) must be rejected and
+//! transparently re-synthesized.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{
@@ -122,7 +122,7 @@ fn cache_hits_are_bit_identical_to_fresh_synthesis_across_families() {
     }
     let stats = cache.stats();
     assert_eq!(stats.stores, 6);
-    assert_eq!(stats.corrupt + stats.stale_version + stats.expired, 0);
+    assert_eq!(stats.corrupt + stats.stale_version, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -185,28 +185,6 @@ fn version_mismatch_is_rejected_and_resynthesized() {
     let stats = fresh.stats();
     assert_eq!(stats.stale_version, 1, "{stats}");
     assert_eq!(stats.corrupt, 0, "{stats}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn ttl_expiry_forces_resynthesis() {
-    let dir = unique_temp_dir("ttl");
-    let config = KernelCacheConfig {
-        dir: Some(dir.clone()),
-        ttl: Some(Duration::ZERO), // everything is immediately stale
-        ..KernelCacheConfig::default()
-    };
-    let program = fp16_gemm(GemmShape::new(256, 256, 128), GemmConfig::default()).unwrap();
-    let compiler = Compiler::new(GpuArch::a100());
-    let (original, _) = compiler
-        .compile_with_cache(&program, &KernelCache::new(config.clone()))
-        .unwrap();
-
-    let expiring = KernelCache::new(config);
-    let (artifact, source) = compiler.compile_with_cache(&program, &expiring).unwrap();
-    assert_eq!(source, ArtifactSource::Synthesized);
-    assert_eq!(*artifact, *original);
-    assert_eq!(expiring.stats().expired, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -414,6 +392,26 @@ fn write_failures_trip_breaker_and_probe_recovers() {
     assert_eq!(stats.breaker_recoveries, 1, "{stats}");
     assert!(!stats.breaker_open, "{stats}");
     assert_eq!(stats.stores, 1, "{stats}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lookup that finds no file must not sleep through the injected disk
+/// latency: the existence probe runs before the delay, so a miss costs the
+/// same under a fault schedule as without one.
+#[test]
+fn disk_miss_skips_the_injected_io_delay() {
+    let dir = unique_temp_dir("miss-delay");
+    std::fs::create_dir_all(&dir).unwrap();
+    let injector = FaultInjector::new(FaultSpec {
+        io_delay: Duration::from_secs(2),
+        ..FaultSpec::default()
+    });
+    let cache = KernelCache::with_faults(disk_config(&dir), Some(injector));
+    let start = Instant::now();
+    assert!(cache.get(0x0123_4567_89ab_cdef).is_none());
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "a miss took {elapsed:?}");
+    assert_eq!(cache.stats().disk_misses, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

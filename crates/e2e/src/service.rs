@@ -30,7 +30,7 @@
 //!   synthesis* now aborts the in-flight search — freeing its admission
 //!   slot and broadcasting a typed [`CompileError::DeadlineExceeded`] to
 //!   every coalesced waiter — instead of running to completion. A lazily
-//!   spawned watchdog thread (`HEXCUTE_WATCHDOG_MS`) trips runaway
+//!   spawned watchdog thread ([`ServiceConfig::watchdog`]) trips runaway
 //!   compiles with [`CompileError::SynthesisTimeout`], and
 //!   [`CompileService::shutdown`] drains the admission queue and cancels
 //!   all in-flight work with typed [`CompileError::Cancelled`] errors.
@@ -42,7 +42,7 @@
 //!   ticket order within a class (no `notify_one` starvation) with
 //!   periodic background boosts so autotune traffic is never starved,
 //!   per-[`TenantId`] weighted fair scheduling with optional quotas
-//!   (`HEXCUTE_SERVICE_TENANT_QUOTA`), and per-class load shedding. The
+//!   ([`ServiceConfig::tenant_quota`]), and per-class load shedding. The
 //!   service compiles only what a request asks for; nothing is compiled
 //!   speculatively.
 //!
@@ -73,12 +73,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{
-    faults, ArtifactSource, CancelReason, CancelToken, CompileError, Compiler, CompilerOptions,
+    ArtifactSource, CancelReason, CancelToken, CompileError, Compiler, CompilerOptions,
     FaultInjector, FaultKind, KernelArtifact, KernelCache, KernelCacheConfig, KernelCacheStats,
 };
 use hexcute_ir::Program;
@@ -198,16 +198,21 @@ impl CompileResponse {
 ///
 /// The defaults are fully permissive — unbounded concurrency, no deadline —
 /// so a service constructed without an explicit config behaves exactly like
-/// the pre-admission-control service; production deployments opt in via
-/// [`ServiceConfig::from_env`] (`HEXCUTE_SERVICE_*`) or explicit fields.
+/// the pre-admission-control service; production deployments opt in by
+/// setting fields.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum syntheses running at once. `0` (the default) means
-    /// unbounded: no admission accounting at all.
+    /// unbounded: no admission accounting at all — no queueing, priorities
+    /// or quotas. Bound it (e.g. to the core count) when compiles contend
+    /// with serving work for CPU; cache hits always bypass admission.
     pub max_concurrent: usize,
     /// Latency-critical requests allowed to wait for an admission slot
     /// beyond `max_concurrent`; arrivals past this are shed with
-    /// [`CompileError::Overloaded`]. Ignored while `max_concurrent` is 0.
+    /// [`CompileError::Overloaded`] (a request that can take a free slot is
+    /// admitted even at capacity 0). Size it to the burst to absorb:
+    /// shedding early beats queueing without bound. Ignored while
+    /// `max_concurrent` is 0.
     pub queue_capacity: usize,
     /// The same bound for the background class, so a flood of autotune
     /// requests sheds without consuming latency-critical queue slots.
@@ -229,14 +234,18 @@ pub struct ServiceConfig {
     /// Per-request deadline, enforced while queued for admission, while
     /// waiting on a coalesced in-flight synthesis, *and* — since PR 8 —
     /// against the in-flight synthesis itself, which is cooperatively
-    /// cancelled when the deadline passes. `None` disables it.
+    /// cancelled when the deadline passes. A synthesis that completes
+    /// before it observes the cancel is still served and cached; a cancelled
+    /// one never is. `None` disables it.
     pub deadline: Option<Duration>,
     /// Wall-clock watchdog for one synthesis: a search still running this
     /// long after it started is cancelled with
     /// [`CompileError::SynthesisTimeout`]. Unlike `deadline` (which counts
     /// from request arrival, queueing included), the watchdog counts from
-    /// synthesis start and so catches runaway searches specifically.
-    /// `None` disables it.
+    /// synthesis start and so catches runaway searches specifically. In
+    /// production it is a backstop against pathological search spaces
+    /// (minutes, not milliseconds). Trips are counted in
+    /// [`ServiceStats::watchdog_trips`]. `None` disables it.
     pub watchdog: Option<Duration>,
     /// Retries of a *transient* failure (a panicked synthesis) before the
     /// error is returned. `0` disables retrying.
@@ -246,9 +255,12 @@ pub struct ServiceConfig {
     pub retry_backoff: Duration,
     /// Seed of the deterministic jitter stream (replayable chaos runs).
     pub seed: u64,
-    /// Fault injector threaded through the service and its cache. Defaults
-    /// to the process-global `HEXCUTE_FAULTS` injector ([`faults::global`]),
-    /// i.e. `None` in production.
+    /// Fault injector threaded through the service and its cache. `None`
+    /// (the default) injects nothing. Pool and synthesis-walk faults also
+    /// need [`faults::install_pool_hook`] / [`faults::install_synth_hook`].
+    ///
+    /// [`faults::install_pool_hook`]: hexcute_core::faults::install_pool_hook
+    /// [`faults::install_synth_hook`]: hexcute_core::faults::install_synth_hook
     pub faults: Option<Arc<FaultInjector>>,
 }
 
@@ -266,107 +278,7 @@ impl Default for ServiceConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(2),
             seed: 0,
-            faults: faults::global().cloned(),
-        }
-    }
-}
-
-/// What an environment variable held, as seen by [`env_setting`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EnvParse<T> {
-    /// The variable is not set.
-    Unset,
-    /// The variable parsed.
-    Value(T),
-    /// The variable is set but does not parse as `T`.
-    Invalid,
-}
-
-/// Classifies `raw` (the variable's value, if set) without consuming errors
-/// silently — the caller decides whether `Invalid` warrants a warning.
-fn parse_env<T: std::str::FromStr>(raw: Option<&str>) -> EnvParse<T> {
-    match raw {
-        None => EnvParse::Unset,
-        Some(raw) => match raw.trim().parse::<T>() {
-            Ok(value) => EnvParse::Value(value),
-            Err(_) => EnvParse::Invalid,
-        },
-    }
-}
-
-/// Warns on stderr about an unparsable variable, at most once per variable
-/// name per process (the `HEXCUTE_THREADS` convention from the parallel
-/// crate). Returns whether this call was the one that warned.
-fn warn_once_unparsable(name: &str, raw: &str) -> bool {
-    static WARNED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
-    let mut warned = WARNED
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    if !warned.insert(name.to_string()) {
-        return false;
-    }
-    eprintln!("hexcute: ignoring unparsable {name}={raw:?}; using the default");
-    true
-}
-
-/// Reads `name` from the environment: unset → `default`, parsable → the
-/// value, unparsable → `default` plus a once-per-variable stderr warning
-/// (never a silent swallow).
-fn env_setting<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let raw = std::env::var(name).ok();
-    match parse_env::<T>(raw.as_deref()) {
-        EnvParse::Unset => default,
-        EnvParse::Value(value) => value,
-        EnvParse::Invalid => {
-            warn_once_unparsable(name, raw.as_deref().unwrap_or(""));
-            default
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Reads the policy from the environment:
-    ///
-    /// | Variable | Meaning | Default |
-    /// |---|---|---|
-    /// | `HEXCUTE_SERVICE_MAX_CONCURRENT` | concurrent synthesis bound (`0` = admission disabled entirely) | 0 |
-    /// | `HEXCUTE_SERVICE_QUEUE_CAPACITY` | latency-class queue capacity before shedding | 64 |
-    /// | `HEXCUTE_SERVICE_BG_QUEUE_CAPACITY` | background-class queue capacity before shedding | 64 |
-    /// | `HEXCUTE_SERVICE_TENANT_QUOTA` | synthesis slots one tenant may hold (`0` = no quota) | 0 |
-    /// | `HEXCUTE_SERVICE_BOOST_INTERVAL` | latency grants between background boosts (`0` = strict priority) | 4 |
-    /// | `HEXCUTE_SERVICE_DEADLINE_MS` | per-request deadline in milliseconds (`0` = none) | unset → none |
-    /// | `HEXCUTE_WATCHDOG_MS` | per-synthesis watchdog in milliseconds (`0` = none) | unset → none |
-    /// | `HEXCUTE_SERVICE_RETRIES` | transient-failure retries | 2 |
-    /// | `HEXCUTE_SERVICE_RETRY_BACKOFF_MS` | backoff base in milliseconds | 2 |
-    /// | `HEXCUTE_SERVICE_SEED` | jitter seed | 0 |
-    ///
-    /// An unparsable value falls back to its default and warns **once** per
-    /// variable on stderr; see `docs/TUNING.md` for the full knob reference.
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let duration_ms = |name: &str| match env_setting::<u64>(name, 0) {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        ServiceConfig {
-            max_concurrent: env_setting("HEXCUTE_SERVICE_MAX_CONCURRENT", defaults.max_concurrent),
-            queue_capacity: env_setting("HEXCUTE_SERVICE_QUEUE_CAPACITY", defaults.queue_capacity),
-            background_queue_capacity: env_setting(
-                "HEXCUTE_SERVICE_BG_QUEUE_CAPACITY",
-                defaults.background_queue_capacity,
-            ),
-            tenant_quota: env_setting("HEXCUTE_SERVICE_TENANT_QUOTA", defaults.tenant_quota),
-            boost_interval: env_setting("HEXCUTE_SERVICE_BOOST_INTERVAL", defaults.boost_interval),
-            deadline: duration_ms("HEXCUTE_SERVICE_DEADLINE_MS"),
-            watchdog: duration_ms("HEXCUTE_WATCHDOG_MS"),
-            max_retries: env_setting("HEXCUTE_SERVICE_RETRIES", defaults.max_retries),
-            retry_backoff: Duration::from_millis(env_setting(
-                "HEXCUTE_SERVICE_RETRY_BACKOFF_MS",
-                defaults.retry_backoff.as_millis() as u64,
-            )),
-            seed: env_setting("HEXCUTE_SERVICE_SEED", defaults.seed),
-            ..defaults
+            faults: None,
         }
     }
 }
@@ -1073,8 +985,8 @@ pub struct CompileService {
 impl CompileService {
     /// A service for `arch` with default compiler options and a
     /// **memory-only** cache (no files are touched). Use
-    /// [`CompileService::with_config`] or [`CompileService::from_env`] for a
-    /// persistent disk store.
+    /// [`CompileService::with_config`] with [`KernelCacheConfig::dir`] set
+    /// for a persistent disk store.
     pub fn new(arch: GpuArch) -> Self {
         Self::with_config(arch, CompilerOptions::new(), KernelCacheConfig::default())
     }
@@ -1092,15 +1004,13 @@ impl CompileService {
     /// A service with explicit compiler options, cache configuration and
     /// admission/deadline/retry policy. The policy's fault injector (if
     /// any) is threaded into the artifact cache too, so one schedule drives
-    /// the whole serving stack.
+    /// both the service and its cache.
     pub fn with_service_config(
         arch: GpuArch,
         options: CompilerOptions,
         cache_config: KernelCacheConfig,
         config: ServiceConfig,
     ) -> Self {
-        faults::install_global_pool_hook();
-        faults::install_global_synth_hook();
         CompileService {
             compiler: Compiler::with_options(arch, options),
             cache: KernelCache::with_faults(cache_config, config.faults.clone()),
@@ -1122,18 +1032,6 @@ impl CompileService {
             shutdown: AtomicBool::new(false),
             cancel_free: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A service whose cache reads the `HEXCUTE_CACHE_*` environment
-    /// variables and whose admission policy reads `HEXCUTE_SERVICE_*` (see
-    /// [`KernelCacheConfig::from_env`] and [`ServiceConfig::from_env`]).
-    pub fn from_env(arch: GpuArch) -> Self {
-        Self::with_service_config(
-            arch,
-            CompilerOptions::new(),
-            KernelCacheConfig::from_env(),
-            ServiceConfig::from_env(),
-        )
     }
 
     /// The active admission/deadline/retry policy.
@@ -1908,23 +1806,6 @@ mod tests {
             "the tenant holding fewer slots must be granted first"
         );
         drop(t1_held);
-    }
-
-    #[test]
-    fn env_parsing_warns_once_and_falls_back() {
-        assert_eq!(parse_env::<usize>(None), EnvParse::Unset);
-        assert_eq!(parse_env::<usize>(Some(" 7 ")), EnvParse::Value(7));
-        assert_eq!(
-            parse_env::<usize>(Some("seven")),
-            EnvParse::<usize>::Invalid
-        );
-        // Warn-once is keyed by variable name, not by value.
-        assert!(warn_once_unparsable("HEXCUTE_SERVICE_TEST_ONLY_A", "seven"));
-        assert!(!warn_once_unparsable(
-            "HEXCUTE_SERVICE_TEST_ONLY_A",
-            "eight"
-        ));
-        assert!(warn_once_unparsable("HEXCUTE_SERVICE_TEST_ONLY_B", "nine"));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   concurrent memo maps the search shares across workers.
 //!
 //! `docs/ARCHITECTURE.md` maps the paper's sections onto these crates and
-//! walks the synthesis pipeline end to end; `docs/TUNING.md` documents every
-//! `HEXCUTE_*` environment variable and `SynthesisOptions` field.
+//! walks the synthesis pipeline end to end; `docs/TUNING.md` documents the
+//! one environment variable (`HEXCUTE_THREADS`) and every option field.
 
 #![warn(missing_docs)]
 
