@@ -51,6 +51,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,7 +63,7 @@ use hexcute_parallel::cache::{CacheStats, ShardedMap};
 
 use crate::compiler::{CompiledKernel, CompilerOptions};
 use crate::faults::{FaultInjector, FaultKind};
-use crate::json::{JsonError, JsonValue};
+use crate::json::{JsonError, JsonValue, Reader};
 
 /// Version tag written into every artifact file. Bump it whenever the
 /// artifact schema *or* the semantics of any serialized field change: files
@@ -93,6 +94,23 @@ impl StableHasher {
         StableHasher {
             state: Self::FNV_OFFSET,
         }
+    }
+
+    /// Hashes the `{:?}` rendering of `value` exactly as
+    /// `format!("{value:?}").hash(self)` would: the rendered bytes, then the
+    /// `0xff` terminator that `str`'s `Hash` writes. The rendering streams
+    /// into the hasher instead of being built as a `String` first.
+    pub fn write_debug(&mut self, value: &impl fmt::Debug) {
+        struct Sink<'h>(&'h mut StableHasher);
+        impl fmt::Write for Sink<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.write(s.as_bytes());
+                Ok(())
+            }
+        }
+        fmt::write(&mut Sink(self), format_args!("{value:?}"))
+            .expect("the sink never fails, so only a broken Debug impl can");
+        self.write_u8(0xff);
     }
 }
 
@@ -150,13 +168,13 @@ pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &Compile
         // `OpKind`'s debug rendering spells out the operation and its
         // operands deterministically; hashing it keeps this function
         // independent of per-variant field churn.
-        format!("{:?}", op.kind).hash(&mut h);
+        h.write_debug(&op.kind);
         op.in_main_loop.hash(&mut h);
     }
     // Target architecture: the debug rendering covers every modelled
     // parameter (clocks, bandwidths, instruction catalog), so two arches
     // that would compile differently fingerprint differently.
-    format!("{:?}", arch).hash(&mut h);
+    h.write_debug(arch);
     // Compiler options.
     options.use_cost_model.hash(&mut h);
     options.synthesis.hash_stable(&mut h);
@@ -363,6 +381,129 @@ fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
     )
 }
 
+/// A decoded field, or the `Schema` error naming it. `None` means the
+/// member was absent, mistyped, or (for records) had a bad field inside.
+fn required<T>(value: Option<T>, key: &str) -> Result<T, ArtifactError> {
+    value.ok_or_else(|| schema_err(format!("missing or malformed `{key}`")))
+}
+
+fn read_tv_layout(r: &mut Reader) -> Result<Option<TvLayoutRecord>, JsonError> {
+    let (mut tensor, mut layout) = (None, None);
+    r.read_object(|r, key| {
+        match &*key {
+            "tensor" => tensor = r.read_string()?,
+            "layout" => layout = r.read_string()?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(tensor
+        .zip(layout)
+        .map(|(tensor, layout)| TvLayoutRecord { tensor, layout }))
+}
+
+fn read_smem_layout(r: &mut Reader) -> Result<Option<SmemLayoutRecord>, JsonError> {
+    let (mut tensor, mut layout) = (None, None);
+    let (mut offset_bytes, mut size_bytes) = (None, None);
+    r.read_object(|r, key| {
+        match &*key {
+            "tensor" => tensor = r.read_string()?,
+            "offset_bytes" => offset_bytes = r.read_usize()?,
+            "size_bytes" => size_bytes = r.read_usize()?,
+            "layout" => layout = r.read_string()?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok((|| {
+        Some(SmemLayoutRecord {
+            tensor: tensor?,
+            offset_bytes: offset_bytes?,
+            size_bytes: size_bytes?,
+            layout: layout?,
+        })
+    })())
+}
+
+fn read_op_cost(r: &mut Reader) -> Result<Option<OpCostRecord>, JsonError> {
+    let (mut issue_cycles, mut stall_cycles, mut completion_cycles) = (None, None, None);
+    r.read_object(|r, key| {
+        match &*key {
+            "issue_cycles" => issue_cycles = r.read_f64()?,
+            "stall_cycles" => stall_cycles = r.read_f64()?,
+            "completion_cycles" => completion_cycles = r.read_f64()?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok((|| {
+        Some(OpCostRecord {
+            issue_cycles: issue_cycles?,
+            stall_cycles: stall_cycles?,
+            completion_cycles: completion_cycles?,
+        })
+    })())
+}
+
+fn read_cost(r: &mut Reader) -> Result<Option<CostRecord>, JsonError> {
+    let (mut total_cycles, mut prologue_cycles, mut loop_iteration_cycles) = (None, None, None);
+    let (mut epilogue_cycles, mut rearrange_cycles, mut per_op) = (None, None, None);
+    r.read_object(|r, key| {
+        match &*key {
+            "total_cycles" => total_cycles = r.read_f64()?,
+            "prologue_cycles" => prologue_cycles = r.read_f64()?,
+            "loop_iteration_cycles" => loop_iteration_cycles = r.read_f64()?,
+            "epilogue_cycles" => epilogue_cycles = r.read_f64()?,
+            "rearrange_cycles" => rearrange_cycles = r.read_f64()?,
+            "per_op" => per_op = r.read_array(read_op_cost)?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok((|| {
+        Some(CostRecord {
+            total_cycles: total_cycles?,
+            prologue_cycles: prologue_cycles?,
+            loop_iteration_cycles: loop_iteration_cycles?,
+            epilogue_cycles: epilogue_cycles?,
+            rearrange_cycles: rearrange_cycles?,
+            per_op: per_op?,
+        })
+    })())
+}
+
+fn read_perf(r: &mut Reader) -> Result<Option<PerfRecord>, JsonError> {
+    let (mut latency_us, mut block_cycles, mut dram_us, mut compute_us) = (None, None, None, None);
+    let (mut sm_us, mut waves, mut bank_conflict_cycles) = (None, None, None);
+    let mut launch_overhead_us = None;
+    r.read_object(|r, key| {
+        match &*key {
+            "latency_us" => latency_us = r.read_f64()?,
+            "block_cycles" => block_cycles = r.read_f64()?,
+            "dram_us" => dram_us = r.read_f64()?,
+            "compute_us" => compute_us = r.read_f64()?,
+            "sm_us" => sm_us = r.read_f64()?,
+            "waves" => waves = r.read_usize()?,
+            "bank_conflict_cycles" => bank_conflict_cycles = r.read_f64()?,
+            "launch_overhead_us" => launch_overhead_us = r.read_f64()?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok((|| {
+        Some(PerfRecord {
+            latency_us: latency_us?,
+            block_cycles: block_cycles?,
+            dram_us: dram_us?,
+            compute_us: compute_us?,
+            sm_us: sm_us?,
+            waves: waves?,
+            bank_conflict_cycles: bank_conflict_cycles?,
+            launch_overhead_us: launch_overhead_us?,
+        })
+    })())
+}
+
 impl KernelArtifact {
     /// Builds the artifact for a finished compilation. `fingerprint` must be
     /// the [`artifact_fingerprint`] of the inputs that produced `compiled`.
@@ -538,14 +679,93 @@ impl KernelArtifact {
         .write()
     }
 
-    /// Parses an artifact file.
+    /// Parses an artifact file in one pass: each member is read straight
+    /// into its field, with no intermediate [`JsonValue`] tree. Members this
+    /// schema does not know are validated, then skipped. When a key appears
+    /// twice, the last occurrence wins.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Json`] for malformed JSON, [`ArtifactError::Version`]
-    /// when the file was written by a different schema version, and
-    /// [`ArtifactError::Schema`] when fields are missing or mistyped.
+    /// In order of precedence: [`ArtifactError::Json`] for malformed JSON
+    /// anywhere in the text; [`ArtifactError::Schema`] when `version` is
+    /// missing or not a non-negative integer; [`ArtifactError::Version`]
+    /// when the file was written by a different schema version; and
+    /// [`ArtifactError::Schema`] when any other field is missing or
+    /// mistyped. [`KernelArtifact::from_json_reference`] is the oracle for
+    /// this contract.
     pub fn from_json(text: &str) -> Result<Self, ArtifactError> {
+        let mut r = Reader::new(text);
+        let mut version = None;
+        let mut fingerprint = None;
+        let (mut kernel, mut arch, mut cuda) = (None, None, None);
+        let (mut threads_per_block, mut grid_blocks) = (None, None);
+        let (mut main_loop_trip_count, mut pipeline_stages) = (None, None);
+        let (mut smem_bytes, mut registers_per_thread) = (None, None);
+        let mut warp_specialized = None;
+        let (mut tv_layouts, mut smem_layouts, mut lowered) = (None, None, None);
+        let (mut cost, mut perf) = (None, None);
+        r.read_object(|r, key| {
+            match &*key {
+                "version" => version = r.read_usize()?,
+                "fingerprint" => {
+                    fingerprint = r
+                        .read_str()?
+                        .and_then(|hex| u64::from_str_radix(&hex, 16).ok())
+                }
+                "kernel" => kernel = r.read_string()?,
+                "arch" => arch = r.read_string()?,
+                "threads_per_block" => threads_per_block = r.read_usize()?,
+                "grid_blocks" => grid_blocks = r.read_usize()?,
+                "main_loop_trip_count" => main_loop_trip_count = r.read_usize()?,
+                "pipeline_stages" => pipeline_stages = r.read_usize()?,
+                "warp_specialized" => warp_specialized = r.read_bool()?,
+                "smem_bytes" => smem_bytes = r.read_usize()?,
+                "registers_per_thread" => registers_per_thread = r.read_usize()?,
+                "tv_layouts" => tv_layouts = r.read_array(read_tv_layout)?,
+                "smem_layouts" => smem_layouts = r.read_array(read_smem_layout)?,
+                "lowered" => lowered = r.read_array(Reader::read_string)?,
+                "cuda" => cuda = r.read_string()?,
+                "cost" => cost = read_cost(r)?,
+                "perf" => perf = read_perf(r)?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        let version = version.ok_or_else(|| schema_err("missing or non-integral `version`"))?;
+        if version != ARTIFACT_VERSION {
+            return Err(ArtifactError::Version { found: version });
+        }
+        Ok(KernelArtifact {
+            version,
+            fingerprint: required(fingerprint, "fingerprint")?,
+            kernel: required(kernel, "kernel")?,
+            arch: required(arch, "arch")?,
+            threads_per_block: required(threads_per_block, "threads_per_block")?,
+            grid_blocks: required(grid_blocks, "grid_blocks")?,
+            main_loop_trip_count: required(main_loop_trip_count, "main_loop_trip_count")?,
+            pipeline_stages: required(pipeline_stages, "pipeline_stages")?,
+            warp_specialized: required(warp_specialized, "warp_specialized")?,
+            smem_bytes: required(smem_bytes, "smem_bytes")?,
+            registers_per_thread: required(registers_per_thread, "registers_per_thread")?,
+            tv_layouts: required(tv_layouts, "tv_layouts")?,
+            smem_layouts: required(smem_layouts, "smem_layouts")?,
+            lowered: required(lowered, "lowered")?,
+            cuda: required(cuda, "cuda")?,
+            cost: required(cost, "cost")?,
+            perf: required(perf, "perf")?,
+        })
+    }
+
+    /// The tree-walking decoder: parses the whole document into a
+    /// [`JsonValue`], then looks each field up. It is the test oracle that
+    /// [`KernelArtifact::from_json`] must agree with on every input, down
+    /// to the [`ArtifactError`] variant.
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelArtifact::from_json`].
+    pub fn from_json_reference(text: &str) -> Result<Self, ArtifactError> {
         let v = JsonValue::parse(text)?;
         let version = get_usize(&v, "version")?;
         if version != ARTIFACT_VERSION {
@@ -966,13 +1186,14 @@ impl KernelCache {
     }
 
     fn load(&self, path: &Path, fingerprint: u64) -> Option<KernelArtifact> {
-        // Probe before the injected I/O delay: a miss (no file) must stay
+        // Open before the injected I/O delay: a miss (no file) must stay
         // as cheap under a fault schedule as without one.
-        std::fs::metadata(path).ok()?;
+        let mut file = std::fs::File::open(path).ok()?;
         if let Some(f) = &self.faults {
             f.io_delay();
         }
-        let mut text = std::fs::read_to_string(path).ok()?;
+        let mut text = String::new();
+        file.read_to_string(&mut text).ok()?;
         let parsed = match &self.faults {
             Some(f) if f.should(FaultKind::DiskReadCorrupt) => {
                 text = f.corrupt_text(&text);

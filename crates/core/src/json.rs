@@ -3,7 +3,10 @@
 //! The build is fully offline (no `serde`), so the persistent cache brings
 //! its own JSON: a small value tree ([`JsonValue`]), a strict recursive
 //! descent parser ([`JsonValue::parse`]) and a deterministic pretty-printer
-//! ([`JsonValue::write`]). Two properties matter for the cache:
+//! ([`JsonValue::write`]). The cache reads artifact files without the tree:
+//! the parser's lexer also offers schema-directed reads that hand each
+//! member straight to the artifact decoder and validate, then skip, any
+//! member the decoder does not ask for. Two properties matter for the cache:
 //!
 //! * **Bit-exact float round-trips.** Numbers are written with Rust's
 //!   shortest-round-trip `Display` for `f64`, so `parse(write(v)) == v`
@@ -22,6 +25,7 @@
 //! # Ok::<(), hexcute_core::json::JsonError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -62,22 +66,16 @@ impl std::error::Error for JsonError {}
 impl JsonValue {
     /// Parses a JSON document. Trailing non-whitespace is an error, so a
     /// truncated or garbage-appended artifact file is rejected rather than
-    /// silently half-read.
+    /// silently half-read, and so is nesting deeper than 128 arrays and
+    /// objects.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first malformed byte.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut r = Reader::new(text);
+        let value = r.value()?;
+        r.finish()?;
         Ok(value)
     }
 
@@ -147,12 +145,7 @@ impl JsonValue {
 
     /// The value as a `usize`, if it is a non-negative integral number.
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(usize_of)
     }
 
     /// The value as a string slice, if it is a string.
@@ -186,6 +179,11 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+/// `n` as a `usize`, if it is a non-negative integral number.
+fn usize_of(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as usize)
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -223,12 +221,138 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The one lexer behind both ways of reading JSON: [`JsonValue::parse`]
+/// builds a tree with it, and the schema-directed reads below hand each
+/// value straight to the caller.
+///
+/// A schema-directed read (`read_*`) takes one value. If the value has the
+/// expected type it is returned; a value of any other type is still
+/// validated, then skipped, and reads as `None`. `Err` is always a syntax
+/// error, so a caller that stops at the first `Err` and sorts out the
+/// `None`s only after [`Reader::finish`] accepts exactly the documents
+/// [`JsonValue::parse`] accepts.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+/// The deepest nesting of arrays and objects a document may have.
+/// Artifacts nest four levels deep; the bound makes a file of brackets an
+/// error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+impl<'a> Reader<'a> {
+    /// A reader at the first value of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        let mut r = Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Ends the document: only whitespace may follow the last value.
+    pub(crate) fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
+        }
+    }
+
+    /// Validates and discards one value of any type.
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        self.value().map(drop)
+    }
+
+    /// A number.
+    pub(crate) fn read_f64(&mut self) -> Result<Option<f64>, JsonError> {
+        self.typed(|b| b == b'-' || b.is_ascii_digit(), Self::number)
+    }
+
+    /// A number that [`JsonValue::as_usize`] accepts.
+    pub(crate) fn read_usize(&mut self) -> Result<Option<usize>, JsonError> {
+        Ok(self.read_f64()?.and_then(usize_of))
+    }
+
+    /// `true` or `false`.
+    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, JsonError> {
+        self.typed(
+            |b| b == b't' || b == b'f',
+            |r| {
+                let value = r.peek() == Some(b't');
+                r.literal(if value { "true" } else { "false" })?;
+                Ok(value)
+            },
+        )
+    }
+
+    /// A string, borrowed from the text when it has no escapes.
+    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.typed(|b| b == b'"', Self::string)
+    }
+
+    /// An owned string.
+    pub(crate) fn read_string(&mut self) -> Result<Option<String>, JsonError> {
+        Ok(self.read_str()?.map(Cow::into_owned))
+    }
+
+    /// An array whose items `item` reads. `None` when the value is not an
+    /// array or `item` returned `None` for any item; every item is read
+    /// either way.
+    pub(crate) fn read_array<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<Option<T>, JsonError>,
+    ) -> Result<Option<Vec<T>>, JsonError> {
+        if self.peek() != Some(b'[') {
+            self.skip()?;
+            return Ok(None);
+        }
+        let (mut items, mut complete) = (Vec::new(), true);
+        self.elements(|r| {
+            match item(r)? {
+                Some(value) => items.push(value),
+                None => complete = false,
+            }
+            Ok(())
+        })?;
+        Ok(complete.then_some(items))
+    }
+
+    /// An object: `member` gets each key in document order and must read
+    /// exactly one value. A value that is not an object is skipped without
+    /// calling `member`.
+    pub(crate) fn read_object(
+        &mut self,
+        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() == Some(b'{') {
+            self.members(member)
+        } else {
+            self.skip()
+        }
+    }
+
+    /// Reads the value with `read` when its first byte passes `first`, and
+    /// skips it otherwise.
+    fn typed<T>(
+        &mut self,
+        first: impl FnOnce(u8) -> bool,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Option<T>, JsonError> {
+        match self.peek() {
+            Some(b) if first(b) => read(self).map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -237,11 +361,11 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+        loop {
+            self.pos += spaces(&self.bytes[self.pos..]);
+            match self.peek() {
+                Some(b'\t' | b'\n' | b'\r') => self.pos += 1,
+                _ => return,
             }
         }
     }
@@ -259,10 +383,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, text: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected `{text}`")))
         }
@@ -270,25 +394,55 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut members = BTreeMap::new();
+                self.members(|r, key| {
+                    let value = r.value()?;
+                    members.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Obj(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Arr(items))
+            }
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Num),
             Some(other) => Err(self.err(format!("unexpected byte {:?}", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    /// Enters one more array or object.
+    fn descend(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Reads the object whose `{` is next, handing each key to `member`,
+    /// which must read exactly one value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut members = BTreeMap::new();
+        self.descend()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(members));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -296,83 +450,99 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            members.insert(key, value);
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(members));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads the array whose `[` is next, calling `item` to read each item.
+    fn elements(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.descend()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string literal. Without escapes it is borrowed from the
+    /// text; otherwise the runs between escapes are copied whole. Every run
+    /// ends at an ASCII byte, so it is a whole `str` slice.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = Vec::new();
+        let mut owned: Option<String> = None;
         loop {
+            let start = self.pos;
+            self.pos += plain_run(&self.bytes[start..]);
+            let text = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return String::from_utf8(out).map_err(|_| self.err("invalid UTF-8 in string"));
+                    return Ok(match owned {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(text);
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
                     self.pos += 1;
                     match esc {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0c),
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b't' => out.push('\t'),
+                        b'r' => out.push('\r'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
                         b'u' => {
                             let code = self.hex4()?;
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("invalid \\u escape (surrogate)"))?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| self.err("invalid \\u escape (surrogate)"))?,
+                            );
                         }
                         other => {
                             return Err(self.err(format!("invalid escape `\\{}`", other as char)))
                         }
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
-                Some(b) => {
-                    out.push(b);
-                    self.pos += 1;
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -389,7 +559,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -400,12 +570,49 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(JsonValue::Num)
             .map_err(|_| self.err(format!("malformed number `{text}`")))
     }
+}
+
+const LANES: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The length of the prefix of `bytes` that needs no attention inside a
+/// string: no `"`, `\\` or control byte. Eight bytes at a time: a byte is
+/// flagged by the has-zero-byte trick. A borrow can also flag bytes above
+/// a flagged one, never below, so the lowest flag is always exact.
+fn plain_run(bytes: &[u8]) -> usize {
+    let zero = |v: u64| v.wrapping_sub(LANES) & !v & HIGH_BITS;
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let flags = zero(x ^ (LANES * u64::from(b'"')))
+            | zero(x ^ (LANES * u64::from(b'\\')))
+            | (x.wrapping_sub(LANES * 0x20) & !x & HIGH_BITS);
+        if flags != 0 {
+            return i + flags.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - i)
+}
+
+/// The number of leading spaces in `bytes`, eight at a time.
+fn spaces(bytes: &[u8]) -> usize {
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let other = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk")) ^ (LANES * 0x20);
+        if other != 0 {
+            return i + other.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    i + bytes[i..].iter().take_while(|&&b| b == b' ').count()
 }
 
 #[cfg(test)]
@@ -460,12 +667,50 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        assert!(JsonValue::parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
     fn unicode_and_escapes() {
         let v = JsonValue::parse(r#""swizzle ∘ layout \"q\"""#).unwrap();
         assert_eq!(v.as_str(), Some("swizzle ∘ layout \"q\""));
         // Multibyte characters survive writing too.
         let s = JsonValue::Str("a∘b".to_string());
         assert_eq!(JsonValue::parse(&s.write()).unwrap(), s);
+    }
+
+    #[test]
+    fn word_scans_match_the_bytewise_definitions() {
+        // One byte of every value at every offset of a word and its tail,
+        // over backgrounds that sit next to the special bytes.
+        for background in [b'a', b' ', b'!', b'#', b'[', b']', 0x7f, 0x80, 0xe2, 0xff] {
+            for len in 0..18 {
+                for at in 0..len {
+                    for b in 0..=255u8 {
+                        let mut bytes = vec![background; len];
+                        bytes[at] = b;
+                        let run = bytes
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                            .unwrap_or(len);
+                        assert_eq!(plain_run(&bytes), run, "{bytes:?}");
+                        bytes.iter_mut().take(at).for_each(|b| *b = b' ');
+                        let lead = bytes.iter().take_while(|&&b| b == b' ').count();
+                        assert_eq!(spaces(&bytes), lead, "{bytes:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

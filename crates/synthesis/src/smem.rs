@@ -507,25 +507,20 @@ pub(crate) fn materialize_and_swizzle(
     if options.disable_swizzles {
         return Ok(SwizzledLayout::unswizzled(base_layout));
     }
-    // The warp access patterns depend only on the choices and the tile, and
-    // a bijective swizzle preserves the base layout's injectivity — hoist
-    // both out of the scoring loop so each swizzle costs only the (at most
-    // 32-element) bank count per touching copy.
+    // The warp access patterns depend only on the choices and the tile, so
+    // they are hoisted out of the scoring loop: each swizzle costs only the
+    // (at most 32-element) bank count per touching copy. `materialize` only
+    // returns injective layouts, and a bijective swizzle keeps them so, so
+    // only the other swizzles need the injectivity walk.
     let patterns: Vec<Vec<usize>> = touching
         .iter()
         .map(|choice| warp_access_pattern(choice, tile))
         .collect();
-    let base_injective = base_layout.is_injective();
     let mut best = SwizzledLayout::unswizzled(base_layout.clone());
     let mut best_score = usize::MAX;
     for swizzle in Swizzle::candidates() {
         let sl = SwizzledLayout::new(swizzle, base_layout.clone());
-        let injective = if swizzle.is_bijective() {
-            base_injective
-        } else {
-            sl.is_injective()
-        };
-        if !injective {
+        if !swizzle.is_bijective() && !sl.is_injective() {
             continue;
         }
         let score: usize = patterns
