@@ -63,7 +63,7 @@ use hexcute_parallel::cache::{CacheStats, ShardedMap};
 
 use crate::compiler::{CompiledKernel, CompilerOptions};
 use crate::faults::{FaultInjector, FaultKind};
-use crate::json::{JsonError, JsonValue, Reader};
+use crate::json::{self, JsonError, JsonValue, Reader};
 
 /// Version tag written into every artifact file. Bump it whenever the
 /// artifact schema *or* the semantics of any serialized field change: files
@@ -578,8 +578,86 @@ impl KernelArtifact {
         self.perf.latency_us
     }
 
-    /// Serializes the artifact as versioned JSON (the on-disk format).
+    /// Serializes the artifact as versioned JSON (the on-disk format),
+    /// streaming every field into one `String`. The bytes are those of
+    /// [`KernelArtifact::to_json_reference`], so members are written in
+    /// the sorted key order of its tree.
     pub fn to_json(&self) -> String {
+        // Room for the long strings, their escapes (mostly the CUDA
+        // source's `\n`s) and the fixed-size members.
+        let text = self.cuda.len() + self.lowered.iter().map(String::len).sum::<usize>();
+        let mut w = json::Writer::with_capacity(text + text / 8 + 4096);
+        w.object(|o| {
+            o.str("arch", &self.arch)
+                .member("cost", |w| {
+                    let cost = &self.cost;
+                    w.object(|o| {
+                        o.num("epilogue_cycles", cost.epilogue_cycles)
+                            .num("loop_iteration_cycles", cost.loop_iteration_cycles)
+                            .member("per_op", |w| {
+                                w.array(&cost.per_op, |w, op| {
+                                    w.object(|o| {
+                                        o.num("completion_cycles", op.completion_cycles)
+                                            .num("issue_cycles", op.issue_cycles)
+                                            .num("stall_cycles", op.stall_cycles);
+                                    })
+                                })
+                            })
+                            .num("prologue_cycles", cost.prologue_cycles)
+                            .num("rearrange_cycles", cost.rearrange_cycles)
+                            .num("total_cycles", cost.total_cycles);
+                    })
+                })
+                .str("cuda", &self.cuda)
+                .str("fingerprint", &format!("{:016x}", self.fingerprint))
+                .num("grid_blocks", self.grid_blocks as f64)
+                .str("kernel", &self.kernel)
+                .member("lowered", |w| w.array(&self.lowered, |w, line| w.str(line)))
+                .num("main_loop_trip_count", self.main_loop_trip_count as f64)
+                .member("perf", |w| {
+                    let perf = &self.perf;
+                    w.object(|o| {
+                        o.num("bank_conflict_cycles", perf.bank_conflict_cycles)
+                            .num("block_cycles", perf.block_cycles)
+                            .num("compute_us", perf.compute_us)
+                            .num("dram_us", perf.dram_us)
+                            .num("latency_us", perf.latency_us)
+                            .num("launch_overhead_us", perf.launch_overhead_us)
+                            .num("sm_us", perf.sm_us)
+                            .num("waves", perf.waves as f64);
+                    })
+                })
+                .num("pipeline_stages", self.pipeline_stages as f64)
+                .num("registers_per_thread", self.registers_per_thread as f64)
+                .num("smem_bytes", self.smem_bytes as f64)
+                .member("smem_layouts", |w| {
+                    w.array(&self.smem_layouts, |w, l| {
+                        w.object(|o| {
+                            o.str("layout", &l.layout)
+                                .num("offset_bytes", l.offset_bytes as f64)
+                                .num("size_bytes", l.size_bytes as f64)
+                                .str("tensor", &l.tensor);
+                        })
+                    })
+                })
+                .num("threads_per_block", self.threads_per_block as f64)
+                .member("tv_layouts", |w| {
+                    w.array(&self.tv_layouts, |w, l| {
+                        w.object(|o| {
+                            o.str("layout", &l.layout).str("tensor", &l.tensor);
+                        })
+                    })
+                })
+                .num("version", self.version as f64)
+                .member("warp_specialized", |w| w.bool(self.warp_specialized));
+        });
+        w.finish()
+    }
+
+    /// The tree-building encoder: assembles the whole artifact as a
+    /// [`JsonValue`], then prints it. It is the test oracle that
+    /// [`KernelArtifact::to_json`] must match byte for byte.
+    pub fn to_json_reference(&self) -> String {
         let num = JsonValue::Num;
         let layouts = self
             .smem_layouts
@@ -883,10 +961,11 @@ pub struct KernelCacheConfig {
     /// cache memory-only. Point it at persistent storage so artifacts
     /// survive process restarts; it is created on first store.
     pub dir: Option<PathBuf>,
-    /// Approximate bound on resident in-memory artifacts (shard-wise
-    /// eviction, see [`ShardedMap::bounded`]). Raise it if one process
-    /// serves more distinct kernels than this; an artifact is a few tens
-    /// of KB.
+    /// Most in-memory artifacts resident at once (`0` counts as 1). A full
+    /// shard is cleared wholesale before the next insert: see
+    /// [`ShardedMap::bounded`] for the shard layout. Raise it if one
+    /// process serves more distinct kernels than this; an artifact is a
+    /// few tens of KB.
     pub memory_capacity: usize,
     /// Maximum artifact files kept on disk; the oldest (by modification
     /// time) are pruned after each store.
@@ -1327,32 +1406,43 @@ impl KernelCache {
     /// Enforces the disk-capacity bound by deleting the oldest artifact
     /// files (by modification time), and sweeps up temp files orphaned by
     /// crashed writers (a live write is younger than a minute — it is a
-    /// single write + rename — so old stragglers are safe to delete).
+    /// single write + rename — so old stragglers are safe to delete). This
+    /// runs after every store, so it counts artifact files by name and
+    /// stats them only when there are more than the bound; only the debris
+    /// is statted on every run, for its age.
     fn prune(&self, dir: &Path) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
         };
-        let mut files: Vec<(SystemTime, PathBuf)> = Vec::new();
+        let modified = |entry: &std::fs::DirEntry| entry.metadata().and_then(|m| m.modified());
+        let mut artifacts = Vec::new();
         for entry in entries.flatten() {
             let path = entry.path();
-            let Ok(modified) = entry.metadata().and_then(|m| m.modified()) else {
-                continue;
-            };
             if path.extension().is_some_and(|x| x == "json") {
-                files.push((modified, path));
+                artifacts.push(entry);
             } else if path
                 .file_name()
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| n.contains(".tmp-") || n.ends_with(".quarantined"))
-                && SystemTime::now()
-                    .duration_since(modified)
-                    .is_ok_and(|age| age >= Duration::from_secs(60))
+                && modified(&entry).is_ok_and(|modified| {
+                    SystemTime::now()
+                        .duration_since(modified)
+                        .is_ok_and(|age| age >= Duration::from_secs(60))
+                })
             {
                 // Orphaned temp files and inspected quarantine debris: both
                 // are invisible to lookups; sweep once they are stale.
                 let _ = std::fs::remove_file(&path);
             }
         }
+        if artifacts.len() <= self.config.disk_capacity {
+            return;
+        }
+        // A file that vanished since the listing no longer counts.
+        let mut files: Vec<(SystemTime, PathBuf)> = artifacts
+            .iter()
+            .filter_map(|entry| Some((modified(entry).ok()?, entry.path())))
+            .collect();
         if files.len() <= self.config.disk_capacity {
             return;
         }

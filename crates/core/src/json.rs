@@ -6,7 +6,9 @@
 //! ([`JsonValue::write`]). The cache reads artifact files without the tree:
 //! the parser's lexer also offers schema-directed reads that hand each
 //! member straight to the artifact decoder and validate, then skip, any
-//! member the decoder does not ask for. Two properties matter for the cache:
+//! member the decoder does not ask for. It writes them without the tree
+//! too: a streaming writer prints the bytes the pretty-printer would. Two
+//! properties matter for the cache:
 //!
 //! * **Bit-exact float round-trips.** Numbers are written with Rust's
 //!   shortest-round-trip `Display` for `f64`, so `parse(write(v)) == v`
@@ -27,7 +29,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,26 +201,157 @@ fn push_indent(out: &mut String, indent: usize) {
 /// is then rejected on read).
 fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     } else {
         out.push_str("null");
     }
 }
 
+/// Writes `s` quoted, escaping `"`, `\` and the control characters. Runs
+/// of other characters are copied whole: every byte of a multi-byte UTF-8
+/// sequence is at least `0x80`, so a run never ends inside a character.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "", // `\u00XX`, written below
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Streams pretty-printed JSON into one `String`: the bytes
+/// [`JsonValue::write`] prints for the same tree, without building the
+/// tree. Object members must come in sorted key order, the order a
+/// [`JsonValue::Obj`] keeps them in.
+pub(crate) struct Writer {
+    out: String,
+    /// Arrays and objects open at the end of `out`.
+    depth: usize,
+}
+
+/// The members of one object being written; see [`Writer::object`].
+pub(crate) struct Members<'w> {
+    writer: &'w mut Writer,
+    /// The key written last (`""` before the first member).
+    last: &'static str,
+}
+
+impl Writer {
+    /// An empty document with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            out: String::with_capacity(capacity),
+            depth: 0,
         }
     }
-    out.push('"');
+
+    /// The document, ended by a newline as [`JsonValue::write`] ends it.
+    pub(crate) fn finish(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
+
+    pub(crate) fn num(&mut self, n: f64) {
+        write_number(&mut self.out, n);
+    }
+
+    pub(crate) fn str(&mut self, s: &str) {
+        write_string(&mut self.out, s);
+    }
+
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An object whose members `body` writes.
+    pub(crate) fn object(&mut self, body: impl FnOnce(&mut Members<'_>)) {
+        self.out.push('{');
+        self.depth += 1;
+        let mut members = Members {
+            writer: self,
+            last: "",
+        };
+        body(&mut members);
+        let empty = members.last.is_empty();
+        self.close('}', empty);
+    }
+
+    /// An array holding what `item` writes for each of `items`.
+    pub(crate) fn array<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Writer, T),
+    ) {
+        self.out.push('[');
+        self.depth += 1;
+        let mut empty = true;
+        for value in items {
+            self.next(empty);
+            empty = false;
+            item(self, value);
+        }
+        self.close(']', empty);
+    }
+
+    /// Starts an element of the innermost array or object on a new line.
+    fn next(&mut self, first: bool) {
+        if !first {
+            self.out.push(',');
+        }
+        self.out.push('\n');
+        push_indent(&mut self.out, self.depth);
+    }
+
+    fn close(&mut self, bracket: char, empty: bool) {
+        self.depth -= 1;
+        if !empty {
+            self.out.push('\n');
+            push_indent(&mut self.out, self.depth);
+        }
+        self.out.push(bracket);
+    }
+}
+
+impl Members<'_> {
+    /// The member `key`, whose value `value` writes. Keys must be
+    /// non-empty and come in sorted order.
+    pub(crate) fn member(
+        &mut self,
+        key: &'static str,
+        value: impl FnOnce(&mut Writer),
+    ) -> &mut Self {
+        debug_assert!(self.last < key, "member `{key}` out of order");
+        self.writer.next(self.last.is_empty());
+        self.last = key;
+        write_string(&mut self.writer.out, key);
+        self.writer.out.push_str(": ");
+        value(self.writer);
+        self
+    }
+
+    pub(crate) fn num(&mut self, key: &'static str, n: f64) -> &mut Self {
+        self.member(key, |w| w.num(n))
+    }
+
+    pub(crate) fn str(&mut self, key: &'static str, s: &str) -> &mut Self {
+        self.member(key, |w| w.str(s))
+    }
 }
 
 /// The one lexer behind both ways of reading JSON: [`JsonValue::parse`]
@@ -710,6 +843,40 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn string_runs_escape_like_the_per_character_definition() {
+        // The definition `write_string` copies runs of: one rule per
+        // character.
+        fn per_character(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            every_ascii.as_str(),
+            "é\"ß\\中\n🚀\u{1}\u{7f}\u{2028}",
+            "\"\"\\\\\u{0}",
+        ] {
+            let mut streamed = String::new();
+            write_string(&mut streamed, s);
+            assert_eq!(streamed, per_character(s), "{s:?}");
         }
     }
 

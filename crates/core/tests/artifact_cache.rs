@@ -210,6 +210,37 @@ fn disk_capacity_prunes_oldest_artifacts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The prune that runs after every store sweeps temp files and quarantined
+/// artifacts once they are a minute old, and leaves younger ones to the
+/// writers and post-mortems they may still belong to.
+#[test]
+fn prune_sweeps_only_stale_debris() {
+    let dir = unique_temp_dir("debris");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stale = std::time::SystemTime::now() - Duration::from_secs(120);
+    let debris = |name: &str, modified| {
+        let path = dir.join(name);
+        let file = std::fs::File::create(&path).unwrap();
+        file.set_modified(modified).unwrap();
+        path
+    };
+    let stale_tmp = debris("00000000000000aa.tmp-1-0", stale);
+    let stale_quarantined = debris("00000000000000bb.quarantined", stale);
+    let fresh_tmp = debris("00000000000000cc.tmp-1-1", std::time::SystemTime::now());
+    let cache = KernelCache::new(KernelCacheConfig {
+        dir: Some(dir.clone()),
+        ..KernelCacheConfig::default()
+    });
+    let program = fp16_gemm(GemmShape::new(128, 128, 64), GemmConfig::default()).unwrap();
+    Compiler::new(GpuArch::a100())
+        .compile_with_cache(&program, &cache)
+        .unwrap();
+    assert!(!stale_tmp.exists() && !stale_quarantined.exists());
+    assert!(fresh_tmp.exists(), "a young temp file may be a live write");
+    assert_eq!(cache.stats().disk_entries, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn artifact_json_round_trips_exactly() {
     let program = mha_forward(

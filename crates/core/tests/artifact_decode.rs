@@ -16,6 +16,13 @@
 //! group also checks that its mutations produce the outcomes they are
 //! meant to, so a mutation that silently stopped applying would show.
 //!
+//! The encoder is held to its oracle the same way: `KernelArtifact::to_json`
+//! streams the artifact into one `String`, `to_json_reference` builds a
+//! `JsonValue` tree and prints it, and the two must be byte-identical for
+//! every family's artifact and for variants of them whose strings hold
+//! quotes, backslashes, control and non-ASCII characters and whose numbers
+//! are `-0.0`, subnormal, huge or not finite.
+//!
 //! The last group checks that `StableHasher::write_debug`, which streams a
 //! `{:?}` rendering into the fingerprint hasher, feeds it exactly the bytes
 //! that formatting to a `String` and hashing that would.
@@ -288,6 +295,160 @@ fn artifacts_of_every_family_decode_identically() {
     for (family, doc) in &docs {
         let decoded = KernelArtifact::from_json(doc).unwrap();
         assert_eq!(&decoded.to_json(), doc, "{family}: round trip");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The streamed encoder against the tree encoder.
+// ---------------------------------------------------------------------------
+
+/// Strings that exercise every escaping rule and multi-byte characters.
+const HOSTILE_STRINGS: &[&str] = &[
+    "",
+    "\"quoted\"",
+    "back\\slash\\",
+    "\\\"",
+    "line\nbreak\ttab\rreturn",
+    "\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f} controls",
+    "\u{7f} delete is not a control",
+    "non-ASCII: é ß 中文 🚀 \u{2028}",
+    "🚀\"🚀\\🚀\n",
+];
+
+/// Floats at the edges of the number printer; the non-finite ones print as
+/// `null`.
+const EDGE_FLOATS: &[f64] = &[
+    0.0,
+    -0.0,
+    5e-324,
+    f64::from_bits(0x000f_ffff_ffff_ffff),
+    f64::MIN_POSITIVE,
+    1e-300,
+    0.1,
+    -1.5e17,
+    1e21,
+    1.7976931348623157e308,
+    -f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Sets every float field of `artifact` to `x`.
+fn set_floats(artifact: &mut KernelArtifact, x: f64) {
+    let cost = &mut artifact.cost;
+    for field in [
+        &mut cost.total_cycles,
+        &mut cost.prologue_cycles,
+        &mut cost.loop_iteration_cycles,
+        &mut cost.epilogue_cycles,
+        &mut cost.rearrange_cycles,
+    ] {
+        *field = x;
+    }
+    for op in &mut cost.per_op {
+        (op.issue_cycles, op.stall_cycles, op.completion_cycles) = (x, -x, x / 3.0);
+    }
+    let perf = &mut artifact.perf;
+    for field in [
+        &mut perf.latency_us,
+        &mut perf.block_cycles,
+        &mut perf.dram_us,
+        &mut perf.compute_us,
+        &mut perf.sm_us,
+        &mut perf.bank_conflict_cycles,
+        &mut perf.launch_overhead_us,
+    ] {
+        *field = x;
+    }
+}
+
+/// Puts `text` into every string field of `artifact`, in front of what
+/// the field held.
+fn set_strings(artifact: &mut KernelArtifact, text: &str) {
+    let prefix = |field: &mut String| field.insert_str(0, text);
+    prefix(&mut artifact.kernel);
+    prefix(&mut artifact.arch);
+    prefix(&mut artifact.cuda);
+    artifact.lowered.iter_mut().for_each(prefix);
+    artifact.lowered.push(text.to_string());
+    for record in &mut artifact.tv_layouts {
+        prefix(&mut record.tensor);
+        prefix(&mut record.layout);
+    }
+    for record in &mut artifact.smem_layouts {
+        prefix(&mut record.tensor);
+        prefix(&mut record.layout);
+    }
+}
+
+/// Counts the artifacts whose two encodings differ, naming the first.
+fn encoding_disagreements(cases: &[(String, KernelArtifact)]) -> (usize, Option<String>) {
+    let mut bad = cases
+        .iter()
+        .filter(|(_, artifact)| artifact.to_json() != artifact.to_json_reference())
+        .map(|(label, _)| label.clone());
+    let first = bad.next();
+    (first.iter().count() + bad.count(), first)
+}
+
+#[test]
+fn streamed_encoding_is_byte_identical_to_the_tree_encoding() {
+    let mut cases = Vec::new();
+    for (family, doc) in artifacts() {
+        let artifact = KernelArtifact::from_json(doc).unwrap();
+        assert_eq!(&artifact.to_json(), doc, "{family}: the stored encoding");
+        for (i, text) in HOSTILE_STRINGS.iter().enumerate() {
+            let mut variant = artifact.clone();
+            set_strings(&mut variant, text);
+            cases.push((format!("{family} string #{i}"), variant));
+        }
+        for &x in EDGE_FLOATS {
+            let mut variant = artifact.clone();
+            set_floats(&mut variant, x);
+            cases.push((format!("{family} float {x:e}"), variant));
+        }
+        let mut empty = artifact.clone();
+        empty.tv_layouts.clear();
+        empty.smem_layouts.clear();
+        empty.lowered.clear();
+        empty.cost.per_op.clear();
+        (empty.grid_blocks, empty.smem_bytes, empty.fingerprint) = (usize::MAX, 0, u64::MAX);
+        empty.warp_specialized = !empty.warp_specialized;
+        cases.push((format!("{family} empty arrays"), empty));
+        cases.push((family.to_string(), artifact));
+    }
+    let (disagreements, first) = encoding_disagreements(&cases);
+    assert_eq!(disagreements, 0, "first: {first:?}");
+    println!("encoder: {} artifacts, 0 disagreements", cases.len());
+}
+
+/// The string `codes` spell: three in four pick an ASCII character
+/// (quotes, backslashes and controls included), the rest any code point.
+fn text_of(codes: &[u32]) -> String {
+    codes
+        .iter()
+        .map(|&code| match code % 4 {
+            0 => char::from_u32(code / 4).unwrap_or(char::REPLACEMENT_CHARACTER),
+            _ => char::from((code / 4 % 0x80) as u8),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Generated strings and float bit patterns encode the same both ways.
+    #[test]
+    fn streamed_encoding_matches_on_generated_strings_and_floats(
+        family in 0usize..8,
+        codes in collection::vec(0u32..0x44_0000, 0..24),
+        bits in 0u64..=u64::MAX,
+    ) {
+        let mut artifact = KernelArtifact::from_json(&artifacts()[family].1).unwrap();
+        set_strings(&mut artifact, &text_of(&codes));
+        set_floats(&mut artifact, f64::from_bits(bits));
+        prop_assert_eq!(artifact.to_json(), artifact.to_json_reference());
     }
 }
 

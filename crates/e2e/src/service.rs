@@ -24,19 +24,21 @@
 //!   admission entirely: backpressure protects the expensive synthesis
 //!   path, never the cheap one. See `docs/ROBUSTNESS.md` for the full
 //!   degradation ladder.
-//! * **Cooperative cancellation & supervision** (PR 8). Every synthesis
-//!   carries a [`CancelToken`] that the search
-//!   walks poll at row granularity, so a deadline that expires *mid-
-//!   synthesis* now aborts the in-flight search — freeing its admission
-//!   slot and broadcasting a typed [`CompileError::DeadlineExceeded`] to
-//!   every coalesced waiter — instead of running to completion. A lazily
-//!   spawned watchdog thread ([`ServiceConfig::watchdog`]) trips runaway
-//!   compiles with [`CompileError::SynthesisTimeout`], and
-//!   [`CompileService::shutdown`] drains the admission queue and cancels
-//!   all in-flight work with typed [`CompileError::Cancelled`] errors.
-//!   Wall-clock cancellation yields typed errors only: a cancelled
-//!   synthesis never produces a partial artifact and never touches the
-//!   cache.
+//! * **Cooperative cancellation.** Every synthesis carries a
+//!   [`CancelToken`] that the search walks poll at row granularity, so a
+//!   deadline that expires *mid-synthesis* aborts the in-flight search —
+//!   freeing its admission slot and broadcasting a typed
+//!   [`CompileError::DeadlineExceeded`] to every coalesced waiter — instead
+//!   of running to completion. The token is a child of one service-wide
+//!   root token and expires at the claimant's deadline and at
+//!   [`ServiceConfig::watchdog`] after the synthesis starts (a runaway
+//!   compile fails with [`CompileError::SynthesisTimeout`]); the polls
+//!   check both instants against the clock themselves, so no thread
+//!   watches the syntheses. [`CompileService::shutdown`] cancels the root
+//!   and drains the admission queue, failing all in-flight work with typed
+//!   [`CompileError::Cancelled`] errors. Wall-clock cancellation yields
+//!   typed errors only: a cancelled synthesis never produces a partial
+//!   artifact and never touches the cache.
 //! * **Priority-aware serving front-end** (PR 10). Admission is a
 //!   *ticketed* bounded queue per [`Priority`] class, granted strictly in
 //!   ticket order within a class (no `notify_one` starvation) with
@@ -73,7 +75,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hexcute_arch::GpuArch;
@@ -670,8 +672,10 @@ pub struct ServiceStats {
     /// watchdog or shutdown). Each freed its admission slot early and
     /// returned a typed error; none produced or cached an artifact.
     pub cancelled: u64,
-    /// Times the watchdog thread tripped a runaway synthesis
-    /// ([`CompileError::SynthesisTimeout`]).
+    /// Syntheses that ended with their token tripped by the watchdog: the
+    /// instant [`ServiceConfig::watchdog`] after they started came before
+    /// the claimant's deadline and any shutdown. One that the trip
+    /// cancelled failed with [`CompileError::SynthesisTimeout`].
     pub watchdog_trips: u64,
     /// Requests drained with a typed shutdown cancellation — parked
     /// admission waiters woken by [`CompileService::shutdown`], requests
@@ -839,119 +843,6 @@ impl Drop for ClaimGuard<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Watchdog supervision.
-// ---------------------------------------------------------------------------
-
-/// One in-flight synthesis under supervision.
-#[derive(Debug)]
-struct Watch {
-    token: CancelToken,
-    /// When the synthesis started (watchdog budget counts from here).
-    synth_start: Instant,
-    /// The owning request's absolute deadline, if any.
-    deadline: Option<Instant>,
-}
-
-/// Shared state between the service and its (lazily spawned) watchdog
-/// thread: the registry of in-flight syntheses and the trip counter.
-#[derive(Debug)]
-struct Supervisor {
-    registry: Mutex<HashMap<u64, Watch>>,
-    /// Per-synthesis wall-clock budget ([`ServiceConfig::watchdog`]).
-    watchdog: Option<Duration>,
-    watchdog_trips: AtomicU64,
-    thread_spawned: AtomicBool,
-}
-
-/// How often the watchdog thread scans the registry. Cancellation latency
-/// is bounded by this scan interval plus the search's poll granularity.
-const SUPERVISOR_SCAN_INTERVAL: Duration = Duration::from_millis(1);
-
-impl Supervisor {
-    fn new(watchdog: Option<Duration>) -> Self {
-        Supervisor {
-            registry: Mutex::new(HashMap::new()),
-            watchdog,
-            watchdog_trips: AtomicU64::new(0),
-            thread_spawned: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether any supervised trigger is configured — if not, registered
-    /// watches only serve the shutdown path and no thread is needed.
-    fn needs_thread(&self, deadline: Option<Instant>) -> bool {
-        deadline.is_some() || self.watchdog.is_some()
-    }
-
-    /// Registers `fingerprint`'s synthesis and lazily spawns the scanner
-    /// thread the first time a watch actually needs one. The thread holds a
-    /// [`Weak`] reference and exits when the service is dropped.
-    fn register(self: &Arc<Self>, fingerprint: u64, watch: Watch) {
-        let needs_thread = self.needs_thread(watch.deadline);
-        self.registry
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(fingerprint, watch);
-        if needs_thread && !self.thread_spawned.swap(true, Ordering::SeqCst) {
-            let weak: Weak<Supervisor> = Arc::downgrade(self);
-            std::thread::Builder::new()
-                .name("hexcute-watchdog".into())
-                .spawn(move || Supervisor::run(weak))
-                .expect("spawning the watchdog thread");
-        }
-    }
-
-    fn unregister(&self, fingerprint: u64) {
-        self.registry
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&fingerprint);
-    }
-
-    /// The scanner loop: every [`SUPERVISOR_SCAN_INTERVAL`], trip tokens
-    /// whose deadline has passed or whose synthesis has outlived the
-    /// watchdog budget. First cancel wins, so a request whose deadline and
-    /// the watchdog race reports one coherent reason.
-    fn run(weak: Weak<Supervisor>) {
-        loop {
-            let Some(supervisor) = weak.upgrade() else {
-                return;
-            };
-            let now = Instant::now();
-            {
-                let registry = supervisor
-                    .registry
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
-                for watch in registry.values() {
-                    if watch.deadline.is_some_and(|dl| now >= dl) {
-                        watch.token.cancel(CancelReason::Deadline);
-                    }
-                    if let Some(budget) = supervisor.watchdog {
-                        if now.duration_since(watch.synth_start) >= budget
-                            && watch.token.cancel(CancelReason::Watchdog)
-                        {
-                            supervisor.watchdog_trips.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            drop(supervisor);
-            std::thread::sleep(SUPERVISOR_SCAN_INTERVAL);
-        }
-    }
-
-    /// Cancels every registered in-flight synthesis with the shutdown
-    /// reason (the service is draining).
-    fn cancel_all_for_shutdown(&self) {
-        let registry = self.registry.lock().unwrap_or_else(|p| p.into_inner());
-        for watch in registry.values() {
-            watch.token.cancel(CancelReason::Shutdown);
-        }
-    }
-}
-
 /// A compile front-end for one target architecture: an artifact cache, a
 /// request-coalescing layer and admission control. The service is `Sync` —
 /// one instance serves concurrent requests from many threads.
@@ -973,9 +864,14 @@ pub struct CompileService {
     synth_panics: AtomicU64,
     cancelled: AtomicU64,
     shutdown_drained: AtomicU64,
+    watchdog_trips: AtomicU64,
     jitter_ticket: AtomicU64,
-    supervisor: Arc<Supervisor>,
-    shutdown: AtomicBool,
+    /// Parent of every synthesis' token; [`CompileService::shutdown`]
+    /// cancels it. A synthesis whose token is made after that reads as
+    /// cancelled at its first poll and one in flight at its next, so
+    /// shutdown needs no registry of tokens and no ordering handshake with
+    /// the claimants: the polls only need the cancel to become visible.
+    root: CancelToken,
     /// Cancel-to-worker-free latencies: how long each cancelled synthesis
     /// held its admission slot past the cancel, sampled as the claimant
     /// releases it.
@@ -1015,7 +911,6 @@ impl CompileService {
             compiler: Compiler::with_options(arch, options),
             cache: KernelCache::with_faults(cache_config, config.faults.clone()),
             admission: Admission::new(&config),
-            supervisor: Arc::new(Supervisor::new(config.watchdog)),
             config,
             inflight: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
@@ -1028,8 +923,9 @@ impl CompileService {
             synth_panics: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             shutdown_drained: AtomicU64::new(0),
+            watchdog_trips: AtomicU64::new(0),
             jitter_ticket: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
+            root: CancelToken::new(),
             cancel_free: Mutex::new(Vec::new()),
         }
     }
@@ -1084,7 +980,7 @@ impl CompileService {
         if priority == Priority::Background {
             self.background_requests.fetch_add(1, Ordering::Relaxed);
         }
-        if self.shutdown.load(Ordering::SeqCst) {
+        if self.root.is_cancelled() {
             self.shutdown_drained.fetch_add(1, Ordering::Relaxed);
             return Err(CompileError::Cancelled {
                 reason: CancelReason::Shutdown,
@@ -1228,26 +1124,21 @@ impl CompileService {
                         completed: false,
                     };
                     self.syntheses.fetch_add(1, Ordering::Relaxed);
-                    // Put the synthesis under supervision: its token is
-                    // tripped by the watchdog thread (deadline/runaway) or
-                    // by `shutdown`, and the search walks poll it at row
-                    // granularity.
-                    let token = CancelToken::new();
+                    // The search walks poll this token at row granularity.
+                    // It trips at the claimant's deadline, `watchdog` after
+                    // the synthesis starts or when `shutdown` cancels the
+                    // root, whichever is first; a synthesis that starts
+                    // after shutdown reads as cancelled at its first poll.
                     let synth_start = Instant::now();
-                    self.supervisor.register(
-                        fingerprint,
-                        Watch {
-                            token: token.clone(),
-                            synth_start,
-                            deadline,
-                        },
+                    let watchdog = self.config.watchdog.map(|budget| synth_start + budget);
+                    let token = self.root.child(
+                        [
+                            deadline.map(|at| (at, CancelReason::Deadline)),
+                            watchdog.map(|at| (at, CancelReason::Watchdog)),
+                        ]
+                        .into_iter()
+                        .flatten(),
                     );
-                    // A shutdown racing this registration may have swept
-                    // the registry already; re-check the flag so the new
-                    // synthesis is cancelled either way.
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        token.cancel(CancelReason::Shutdown);
-                    }
                     // A panicking synthesis (worker-job crash, injected
                     // fault) must not strand coalesced waiters: catch the
                     // unwind and broadcast a retryable error through the
@@ -1272,7 +1163,12 @@ impl CompileService {
                             .unwrap_or_else(|| "non-string panic payload".to_string());
                         Err(CompileError::Panicked(msg))
                     });
-                    self.supervisor.unregister(fingerprint);
+                    // The synthesis is over, so what the token has decided
+                    // by now is final for this claim.
+                    let ended_by = token.reason();
+                    if ended_by == Some(CancelReason::Watchdog) {
+                        self.watchdog_trips.fetch_add(1, Ordering::Relaxed);
+                    }
                     // Map the raw cancellation onto the trigger's typed
                     // error: a tripped deadline reads as the deadline
                     // error waiters already understand, a watchdog trip as
@@ -1309,7 +1205,7 @@ impl CompileService {
                     }
                     // Sample cancel-to-worker-free latency at the moment
                     // the slot is released (the permit drops next).
-                    if let Some(latency) = token.since_cancelled() {
+                    if let Some(latency) = ended_by.and_then(|_| token.since_cancelled()) {
                         self.cancel_free
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
@@ -1332,10 +1228,9 @@ impl CompileService {
     /// empty so callers can observe "no leaked slots" deterministically.
     /// Idempotent — later calls return immediately.
     pub fn shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if !self.root.cancel(CancelReason::Shutdown) {
             return;
         }
-        self.supervisor.cancel_all_for_shutdown();
         self.admission.shutdown();
         // Bounded drain: in-flight claimants poll their tokens at row
         // granularity, so they unwind within a poll interval each. The cap
@@ -1356,7 +1251,7 @@ impl CompileService {
 
     /// Whether [`CompileService::shutdown`] has begun.
     pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.root.is_cancelled()
     }
 
     /// Cancel-to-worker-free latencies observed so far: for each cancelled
@@ -1381,7 +1276,7 @@ impl CompileService {
             retries: self.retries.load(Ordering::Relaxed),
             synth_panics: self.synth_panics.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
-            watchdog_trips: self.supervisor.watchdog_trips.load(Ordering::Relaxed),
+            watchdog_trips: self.watchdog_trips.load(Ordering::Relaxed),
             shutdown_drained: self.shutdown_drained.load(Ordering::Relaxed),
             max_queue_depth: self.admission.max_queue_depth.load(Ordering::Relaxed),
             queue_depth: self.admission.queue_depth(),

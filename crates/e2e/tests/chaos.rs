@@ -270,9 +270,9 @@ fn deadline_expiring_mid_synthesis_cancels_the_claimant() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    // The held search aborts within the cancellation-poll bound (watchdog
-    // scan interval + one stall slice + unwind), not after the full
-    // `HOLD`. The generous cap still distinguishes abort from completion.
+    // The held search aborts within the cancellation-poll bound (one stall
+    // slice past the deadline + unwind), not after the full `HOLD`. The
+    // generous cap still distinguishes abort from completion.
     assert!(
         turnaround < Duration::from_secs(5),
         "cancellation took {turnaround:?} — the search likely ran to completion"

@@ -70,7 +70,8 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Number of shards; a power of two so shard selection is a mask.
+/// Shards per map (one for a map bounded below this many entries); a power
+/// of two so shard selection is a mask.
 const SHARDS: usize = 16;
 
 /// A concurrent hash map sharded over independently locked segments.
@@ -105,13 +106,13 @@ impl<K, V> fmt::Debug for ShardedMap<K, V> {
             .sum();
         f.debug_struct("ShardedMap")
             .field("entries", &entries)
-            .field("shards", &SHARDS)
+            .field("shards", &self.shards.len())
             .field(
                 "capacity",
                 &if self.shard_capacity == usize::MAX {
                     None
                 } else {
-                    Some(self.shard_capacity * SHARDS)
+                    Some(self.shard_capacity * self.shards.len())
                 },
             )
             .finish()
@@ -127,19 +128,24 @@ impl<K: Hash + Eq, V: Clone> Default for ShardedMap<K, V> {
 impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     /// An unbounded map.
     pub fn new() -> Self {
-        Self::with_shard_capacity(usize::MAX)
+        Self::with_shards(SHARDS, usize::MAX)
     }
 
-    /// A map evicting once any shard would exceed `capacity / SHARDS`
-    /// entries (so `capacity` approximates the whole-map bound). Eviction is
-    /// wholesale per shard; see the module docs.
+    /// A map that never holds more than `capacity` entries (`0` counts as
+    /// 1): 16 shards of `capacity / 16` entries each or, for a capacity
+    /// under 16, one shard of `capacity`. Eviction is wholesale per shard;
+    /// see the module docs.
     pub fn bounded(capacity: usize) -> Self {
-        Self::with_shard_capacity((capacity / SHARDS).max(1))
+        if capacity < SHARDS {
+            Self::with_shards(1, capacity.max(1))
+        } else {
+            Self::with_shards(SHARDS, capacity / SHARDS)
+        }
     }
 
-    fn with_shard_capacity(shard_capacity: usize) -> Self {
+    fn with_shards(shards: usize, shard_capacity: usize) -> Self {
         ShardedMap {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -150,7 +156,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
+        &self.shards[(hasher.finish() as usize) & (self.shards.len() - 1)]
     }
 
     /// Returns a clone of the cached value, counting the hit or miss.
@@ -297,6 +303,24 @@ mod tests {
         // Values remain correct after eviction churn.
         map.insert(7, 70);
         assert_eq!(map.get(&7), Some(70));
+    }
+
+    #[test]
+    fn bounded_map_never_holds_more_than_its_capacity() {
+        for capacity in 1..=40 {
+            let map: ShardedMap<u64, u64> = ShardedMap::bounded(capacity);
+            let mut most = 0;
+            for k in 0..1000 {
+                if k % 2 == 0 {
+                    map.insert(k, k);
+                } else {
+                    map.probe_or_insert_with(k, || k);
+                }
+                most = most.max(map.len());
+            }
+            assert!(most <= capacity, "bounded({capacity}) held {most}");
+            assert!(map.stats().evictions > 0);
+        }
     }
 
     #[test]

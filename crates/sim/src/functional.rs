@@ -208,7 +208,7 @@ impl SimTableCache {
         Self::with_capacity(TABLE_CACHE_CAPACITY)
     }
 
-    /// An empty cache holding at most roughly `capacity` tables of each kind
+    /// An empty cache holding at most `capacity` tables of each kind
     /// (copy / thread-value / gather); over-full shards are cleared and the
     /// evicted tables rebuilt on demand.
     pub fn with_capacity(capacity: usize) -> Self {
