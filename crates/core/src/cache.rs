@@ -16,8 +16,10 @@
 //! one artifact serves every execution configuration.
 //!
 //! Artifacts are stored as versioned JSON files (`<fingerprint>.json`) under
-//! a cache directory, with an in-memory [`ShardedMap`] front so repeat
-//! lookups in one process never touch the filesystem. The cache is
+//! a cache directory, with a bounded in-memory front that keeps the most
+//! requested artifacts, so their repeat lookups never touch the filesystem:
+//! a [`FrequencySketch`] of every lookup decides which artifacts stay (see
+//! [`KernelCache`]). The cache is
 //! defensive: corrupt files, artifacts written by a different
 //! [`ARTIFACT_VERSION`] and fingerprint mismatches are rejected (and moved
 //! aside or deleted) so the caller re-synthesizes; every outcome is counted
@@ -49,6 +51,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::io::Read;
@@ -59,7 +62,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use hexcute_arch::GpuArch;
 use hexcute_ir::Program;
-use hexcute_parallel::cache::{CacheStats, ShardedMap};
+use hexcute_parallel::cache::CacheStats;
 
 use crate::compiler::{CompiledKernel, CompilerOptions};
 use crate::faults::{FaultInjector, FaultKind};
@@ -144,6 +147,17 @@ impl Hasher for StableHasher {
 ///
 /// [`SynthesisOptions::hash_stable`]: hexcute_synthesis::SynthesisOptions::hash_stable
 pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &CompilerOptions) -> u64 {
+    fingerprint_with(program, |h| h.write_debug(arch), options)
+}
+
+/// [`artifact_fingerprint`] with the architecture hashed by `hash_arch`, so
+/// a caller that keeps the architecture's `{:?}` rendering can hash those
+/// bytes instead of formatting the architecture again.
+pub(crate) fn fingerprint_with(
+    program: &Program,
+    hash_arch: impl FnOnce(&mut StableHasher),
+    options: &CompilerOptions,
+) -> u64 {
     let mut h = StableHasher::new();
     // Program structure. The grid participates: two programs differing only
     // in `grid_blocks` (e.g. the same tile kernel at two batch sizes, or two
@@ -174,7 +188,7 @@ pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &Compile
     // Target architecture: the debug rendering covers every modelled
     // parameter (clocks, bandwidths, instruction catalog), so two arches
     // that would compile differently fingerprint differently.
-    h.write_debug(arch);
+    hash_arch(&mut h);
     // Compiler options.
     options.use_cost_model.hash(&mut h);
     options.synthesis.hash_stable(&mut h);
@@ -961,11 +975,15 @@ pub struct KernelCacheConfig {
     /// cache memory-only. Point it at persistent storage so artifacts
     /// survive process restarts; it is created on first store.
     pub dir: Option<PathBuf>,
-    /// Most in-memory artifacts resident at once (`0` counts as 1). A full
-    /// shard is cleared wholesale before the next insert: see
-    /// [`ShardedMap::bounded`] for the shard layout. Raise it if one
-    /// process serves more distinct kernels than this; an artifact is a
-    /// few tens of KB.
+    /// Most in-memory artifacts resident at once (`0` counts as 1). When
+    /// the tier is full, a fresh synthesis displaces the resident looked up
+    /// least often recently, and a disk hit displaces it only if it was
+    /// itself looked up more often, and more than once; otherwise the disk
+    /// hit is served without entering memory (see [`FrequencySketch`]).
+    /// There is nothing else to tune: the sketch's size and aging period
+    /// follow from the capacity. Raise it if one
+    /// process serves more hot kernels than this; an artifact is a few tens
+    /// of KB.
     pub memory_capacity: usize,
     /// Maximum artifact files kept on disk; the oldest (by modification
     /// time) are pruned after each store.
@@ -1093,12 +1111,226 @@ impl Breaker {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The memory tier: a frequency-admitted map behind one lock.
+// ---------------------------------------------------------------------------
+
+/// Rows of a [`FrequencySketch`]; a key has one counter in each.
+const SKETCH_ROWS: usize = 4;
+/// Counters per row for each entry of the memory tier (rounded up to a
+/// power of two).
+const SKETCH_COUNTERS_PER_ENTRY: usize = 8;
+/// Lookups between two halvings for each entry of the memory tier.
+const SKETCH_PERIOD_PER_ENTRY: usize = 10;
+/// A counter's ceiling: counters are 4 bits wide, sixteen to a word.
+const SKETCH_MAX_COUNT: u64 = 15;
+
+/// A count-min sketch of how often each key was looked up recently: the
+/// admission filter of TinyLFU (Einziger, Friedman and Manes, "TinyLFU: A
+/// Highly Efficient Cache Admission Policy", ACM TOS 2017).
+///
+/// A sketch sized for a tier of `capacity` entries has 4 rows of at least
+/// `8 × capacity` 4-bit counters. A key increments one counter per row and
+/// its estimate is the least of the four, so the sketch never under-counts
+/// a key (until the counter saturates at 15); collisions can only
+/// over-count. Every `10 × capacity` increments every counter is halved, so
+/// estimates follow recent popularity, not the whole history.
+///
+/// ```
+/// use hexcute_core::cache::FrequencySketch;
+///
+/// let mut sketch = FrequencySketch::new(16);
+/// for _ in 0..3 {
+///     sketch.increment(7);
+/// }
+/// assert!(sketch.estimate(7) >= 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FrequencySketch {
+    /// `SKETCH_ROWS` rows of `width / 16` words.
+    words: Vec<u64>,
+    /// Counters per row, a power of two.
+    width: usize,
+    /// Increments since the last halving.
+    increments: usize,
+    /// Increments between two halvings.
+    period: usize,
+}
+
+impl FrequencySketch {
+    /// A sketch for a memory tier of `capacity` entries (`0` counts as 1).
+    pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        let width = (SKETCH_COUNTERS_PER_ENTRY * capacity)
+            .next_power_of_two()
+            .max(16);
+        FrequencySketch {
+            words: vec![0; SKETCH_ROWS * width / 16],
+            width,
+            increments: 0,
+            period: SKETCH_PERIOD_PER_ENTRY * capacity,
+        }
+    }
+
+    /// Increments between two halvings of every counter.
+    pub fn period(&self) -> usize {
+        self.period
+    }
+
+    /// The word and bit offset of `key`'s counter in `row`: a SplitMix64
+    /// finalizer over the key salted by the row, masked to the row width.
+    fn counter(&self, row: usize, key: u64) -> (usize, u32) {
+        let mut z = key.wrapping_add((row as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let index = row * self.width + (z as usize & (self.width - 1));
+        (index / 16, (index % 16) as u32 * 4)
+    }
+
+    /// Counts one lookup of `key`, then halves every counter if that ends
+    /// the period.
+    pub fn increment(&mut self, key: u64) {
+        for row in 0..SKETCH_ROWS {
+            let (word, shift) = self.counter(row, key);
+            if (self.words[word] >> shift) & 0xf < SKETCH_MAX_COUNT {
+                self.words[word] += 1 << shift;
+            }
+        }
+        self.increments += 1;
+        if self.increments == self.period {
+            self.increments = 0;
+            for word in &mut self.words {
+                *word = (*word >> 1) & 0x7777_7777_7777_7777;
+            }
+        }
+    }
+
+    /// How often `key` was looked up recently: at least the true count
+    /// since the last halving, capped at 15.
+    pub fn estimate(&self, key: u64) -> u8 {
+        (0..SKETCH_ROWS)
+            .map(|row| {
+                let (word, shift) = self.counter(row, key);
+                ((self.words[word] >> shift) & 0xf) as u8
+            })
+            .min()
+            .expect("the sketch has rows")
+    }
+}
+
+/// The in-memory tier: at most `capacity` artifacts in one map behind one
+/// lock, with a [`FrequencySketch`] of every lookup. When the tier is full
+/// the victim is the resident with the lowest estimate (ties go to the
+/// lowest fingerprint).
+#[derive(Debug)]
+struct MemoryTier {
+    capacity: usize,
+    state: std::sync::Mutex<TierState>,
+}
+
+#[derive(Debug)]
+struct TierState {
+    residents: HashMap<u64, Arc<KernelArtifact>>,
+    sketch: FrequencySketch,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    declined: u64,
+}
+
+impl MemoryTier {
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        MemoryTier {
+            capacity,
+            state: std::sync::Mutex::new(TierState {
+                residents: HashMap::with_capacity(capacity),
+                sketch: FrequencySketch::new(capacity),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                declined: 0,
+            }),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, TierState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Counts a lookup of `fingerprint` and returns its resident artifact.
+    fn get(&self, fingerprint: u64) -> Option<Arc<KernelArtifact>> {
+        let mut state = self.lock();
+        state.sketch.increment(fingerprint);
+        let hit = state.residents.get(&fingerprint).cloned();
+        match hit {
+            Some(_) => state.hits += 1,
+            None => state.misses += 1,
+        }
+        hit
+    }
+
+    /// Makes a fresh synthesis resident, displacing the victim if the tier
+    /// is full.
+    fn insert(&self, artifact: Arc<KernelArtifact>) {
+        self.admit(artifact, false);
+    }
+
+    /// Makes a disk hit resident if there is room or its estimate beats both
+    /// the victim's and 1; otherwise counts the promotion as declined.
+    fn promote(&self, artifact: Arc<KernelArtifact>) {
+        self.admit(artifact, true);
+    }
+
+    fn admit(&self, artifact: Arc<KernelArtifact>, by_frequency: bool) {
+        let fingerprint = artifact.fingerprint;
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        if state.residents.len() >= self.capacity && !state.residents.contains_key(&fingerprint) {
+            let (estimate, victim) = state
+                .residents
+                .keys()
+                .map(|&key| (state.sketch.estimate(key), key))
+                .min()
+                .expect("a full tier has residents");
+            // A disk hit must beat the victim, and one counted only once (by
+            // this very lookup) never displaces a resident: one-off requests
+            // are served from disk instead of churning the hot set.
+            if by_frequency && state.sketch.estimate(fingerprint) <= estimate.max(1) {
+                state.declined += 1;
+                return;
+            }
+            state.residents.remove(&victim);
+            state.evictions += 1;
+        }
+        state.residents.insert(fingerprint, artifact);
+    }
+
+    /// The tier's counters, and the promotions it declined.
+    fn stats(&self) -> (CacheStats, u64) {
+        let state = self.lock();
+        let stats = CacheStats {
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+            entries: state.residents.len(),
+        };
+        (stats, state.declined)
+    }
+}
+
 /// Counters describing a [`KernelCache`]'s behaviour. Snapshot via
 /// [`KernelCache::stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelCacheStats {
-    /// Hit/miss/eviction counters of the in-memory front.
+    /// Hit/miss/eviction counters of the in-memory front (an eviction is a
+    /// resident displaced by a newcomer).
     pub memory: CacheStats,
+    /// Disk hits served without entering the full in-memory front, because
+    /// they were not looked up more often recently than the resident they
+    /// would have displaced, or only once.
+    pub promotions_declined: u64,
     /// Artifacts served from the disk store.
     pub disk_hits: u64,
     /// Lookups that found no usable artifact file.
@@ -1137,11 +1369,12 @@ impl fmt::Display for KernelCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "memory: {}; disk: {} hits / {} misses, {} stored, {} resident, \
-             {} corrupt, {} stale-version, {} pruned, \
+            "memory: {}, {} promotions declined; disk: {} hits / {} misses, \
+             {} stored, {} resident, {} corrupt, {} stale-version, {} pruned, \
              {} quarantined, {} write-failures, {} rename-races; \
              breaker: {} ({} trips, {} recoveries, {} skips)",
             self.memory,
+            self.promotions_declined,
             self.disk_hits,
             self.disk_misses,
             self.stores,
@@ -1160,10 +1393,16 @@ impl fmt::Display for KernelCacheStats {
     }
 }
 
-/// A persistent, disk-backed kernel-artifact cache with an in-memory
-/// [`ShardedMap`] front.
+/// A persistent, disk-backed kernel-artifact cache with a bounded in-memory
+/// front.
 ///
-/// Lookups go memory → disk → miss; a disk hit is promoted into memory.
+/// Lookups go memory → disk → miss. Every lookup is counted in a
+/// [`FrequencySketch`], and the front keeps what is requested most: when it
+/// is full, a disk hit is promoted only if it was looked up more often
+/// recently than the least-requested resident, which it then displaces
+/// (TinyLFU admission), and more than once, so one-off requests never
+/// churn the hot set. A fresh synthesis always displaces that resident, so
+/// the next request for it is a memory hit.
 /// Artifacts are written crash-consistently (temp file, fsync, atomic
 /// rename), so a concurrent reader never observes a partial file even across
 /// power loss, and every defect a reader *can* observe (corruption, version
@@ -1176,7 +1415,7 @@ impl fmt::Display for KernelCacheStats {
 #[derive(Debug)]
 pub struct KernelCache {
     config: KernelCacheConfig,
-    memory: ShardedMap<u64, Arc<KernelArtifact>>,
+    memory: MemoryTier,
     faults: Option<Arc<FaultInjector>>,
     breaker: Breaker,
     disk_hits: AtomicU64,
@@ -1201,7 +1440,7 @@ impl KernelCache {
     /// Creates a cache whose disk tier draws faults from `faults` (`None`
     /// is the same as [`KernelCache::new`]).
     pub fn with_faults(config: KernelCacheConfig, faults: Option<Arc<FaultInjector>>) -> Self {
-        let memory = ShardedMap::bounded(config.memory_capacity.max(1));
+        let memory = MemoryTier::new(config.memory_capacity);
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_probe_interval);
         KernelCache {
             config,
@@ -1236,11 +1475,13 @@ impl KernelCache {
     }
 
     /// Looks up an artifact: the in-memory front first, then the disk store.
-    /// A disk hit is promoted into memory; a defective file (corrupt, wrong
-    /// version, wrong fingerprint) is moved aside or deleted and counted,
-    /// and the lookup reports a miss so the caller re-synthesizes.
+    /// A disk hit is promoted into memory if there is room or it beats the
+    /// least-requested resident (see [`KernelCache`]); a defective file
+    /// (corrupt, wrong version, wrong fingerprint) is moved aside or deleted
+    /// and counted, and the lookup reports a miss so the caller
+    /// re-synthesizes.
     pub fn get(&self, fingerprint: u64) -> Option<(Arc<KernelArtifact>, ArtifactSource)> {
-        if let Some(hit) = self.memory.get(&fingerprint) {
+        if let Some(hit) = self.memory.get(fingerprint) {
             return Some((hit, ArtifactSource::Memory));
         }
         let path = self.artifact_path(fingerprint)?;
@@ -1254,7 +1495,7 @@ impl KernelCache {
             Some(artifact) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 let artifact = Arc::new(artifact);
-                self.memory.insert(fingerprint, artifact.clone());
+                self.memory.promote(artifact.clone());
                 Some((artifact, ArtifactSource::Disk))
             }
             None => {
@@ -1319,7 +1560,8 @@ impl KernelCache {
         }
     }
 
-    /// Inserts an artifact into the memory front and (when a directory is
+    /// Inserts an artifact into the memory front, displacing the
+    /// least-requested resident if it is full, and (when a directory is
     /// configured) the disk store. Disk writes are crash-consistent — temp
     /// file, fsync, atomic rename — and filesystem failures degrade to a
     /// memory-only insert rather than an error: the cache is an accelerator,
@@ -1328,7 +1570,7 @@ impl KernelCache {
     /// probe write per probe interval.
     pub fn insert(&self, artifact: Arc<KernelArtifact>) {
         let fingerprint = artifact.fingerprint;
-        self.memory.insert(fingerprint, artifact.clone());
+        self.memory.insert(artifact.clone());
         let Some(path) = self.artifact_path(fingerprint) else {
             return;
         };
@@ -1472,8 +1714,10 @@ impl KernelCache {
 
     /// A snapshot of every counter plus the current disk occupancy.
     pub fn stats(&self) -> KernelCacheStats {
+        let (memory, promotions_declined) = self.memory.stats();
         KernelCacheStats {
-            memory: self.memory.stats(),
+            memory,
+            promotions_declined,
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),

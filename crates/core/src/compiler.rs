@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -189,6 +190,9 @@ impl From<SynthesisError> for CompileError {
 #[derive(Debug)]
 pub struct Compiler {
     arch: GpuArch,
+    /// `arch`'s `{:?}` rendering, which every artifact fingerprint hashes;
+    /// rendered once here instead of once per request.
+    arch_rendering: Box<str>,
     options: CompilerOptions,
 }
 
@@ -201,7 +205,11 @@ impl Compiler {
 
     /// Creates a compiler with explicit options.
     pub fn with_options(arch: GpuArch, options: CompilerOptions) -> Self {
-        Compiler { arch, options }
+        Compiler {
+            arch_rendering: format!("{arch:?}").into(),
+            arch,
+            options,
+        }
     }
 
     /// The target architecture.
@@ -351,7 +359,9 @@ impl Compiler {
     /// [`crate::cache::artifact_fingerprint`]): a fingerprint of the program
     /// structure, the target architecture and every result-affecting option.
     pub fn artifact_fingerprint(&self, program: &Program) -> u64 {
-        crate::cache::artifact_fingerprint(program, &self.arch, &self.options)
+        // `str`'s `Hash` writes the bytes and the `0xff` terminator, exactly
+        // what `StableHasher::write_debug(&self.arch)` streams.
+        crate::cache::fingerprint_with(program, |h| self.arch_rendering.hash(h), &self.options)
     }
 
     /// Compiles a program and packages the result as a cacheable

@@ -762,15 +762,28 @@ fn streamed_arch_hash_equals_formatted_hash() {
     }
 }
 
+/// Both ways to fingerprint — the free function, which streams the arch's
+/// rendering, and `Compiler`'s, which hashes the rendering it keeps — equal
+/// the format-then-hash definition.
 #[test]
 fn fingerprints_equal_the_formatted_definition_for_every_family() {
     let options = CompilerOptions::new();
+    let compilers = [GpuArch::a100(), GpuArch::h100()]
+        .map(|arch| Compiler::with_options(arch, options.clone()));
     for (family, program, _) in family_programs() {
-        for arch in [GpuArch::a100(), GpuArch::h100()] {
+        for compiler in &compilers {
+            let arch = compiler.arch();
+            let formatted = fingerprint_formatted(&program, arch, &options);
             assert_eq!(
-                artifact_fingerprint(&program, &arch, &options),
-                fingerprint_formatted(&program, &arch, &options),
+                artifact_fingerprint(&program, arch, &options),
+                formatted,
                 "{family} on {}",
+                arch.name
+            );
+            assert_eq!(
+                compiler.artifact_fingerprint(&program),
+                formatted,
+                "{family} on {} through Compiler",
                 arch.name
             );
         }

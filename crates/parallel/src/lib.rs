@@ -276,7 +276,6 @@ struct QueuedJob {
 
 struct PoolInner {
     queue: VecDeque<QueuedJob>,
-    idle: usize,
     spawned: usize,
     next_id: u64,
 }
@@ -284,6 +283,11 @@ struct PoolInner {
 struct Pool {
     inner: Mutex<PoolInner>,
     work: Condvar,
+    /// Workers running a job's items. A worker leaves this count as soon as
+    /// its part of the job is done, before it leaves the job's gate and
+    /// re-takes the pool lock, so the submitter's next map already counts
+    /// it as available.
+    busy: AtomicUsize,
 }
 
 fn pool() -> &'static Pool {
@@ -291,11 +295,11 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         inner: Mutex::new(PoolInner {
             queue: VecDeque::new(),
-            idle: 0,
             spawned: 0,
             next_id: 0,
         }),
         work: Condvar::new(),
+        busy: AtomicUsize::new(0),
     })
 }
 
@@ -310,7 +314,12 @@ impl Pool {
         // participates in its own job, so fewer helpers only means less
         // parallelism — never a stuck or dangling job. Panicking here with
         // the job already queued would leak a handle to freed stack memory.
-        let deficit = tickets.saturating_sub(inner.idle);
+        // A worker not running items is parked or on its way back to the
+        // queue, and takes a ticket either way.
+        let available = inner
+            .spawned
+            .saturating_sub(self.busy.load(Ordering::Acquire));
+        let deficit = tickets.saturating_sub(available);
         let headroom = MAX_POOL_THREADS.saturating_sub(inner.spawned);
         for _ in 0..deficit.min(headroom) {
             match std::thread::Builder::new()
@@ -374,16 +383,18 @@ impl Pool {
                 // Register while still holding the pool lock: `retire`
                 // acquires the same lock, so a registration is never missed.
                 unsafe { (*handle.gate).enter() };
+                self.busy.fetch_add(1, Ordering::Relaxed);
                 drop(inner);
                 // SAFETY: the gate registration above keeps the job state
                 // alive until `leave` below.
                 unsafe { (handle.run)(handle.state) };
+                // Available again before the submitter can return: it waits
+                // on the gate until `leave`.
+                self.busy.fetch_sub(1, Ordering::Release);
                 unsafe { (*handle.gate).leave() };
                 inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
             } else {
-                inner.idle += 1;
                 inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
-                inner.idle -= 1;
             }
         }
     }
