@@ -80,11 +80,6 @@ pub struct CopyAtom {
 }
 
 impl CopyAtom {
-    /// Total bytes moved by one collective invocation.
-    pub fn bytes_per_instruction(&self) -> usize {
-        self.bytes_per_thread * self.threads
-    }
-
     /// Elements of `dtype` moved per thread per invocation.
     pub fn elements_per_thread(&self, dtype: DType) -> usize {
         dtype.elements_per_bytes(self.bytes_per_thread)

@@ -155,12 +155,6 @@ impl GpuArch {
         cycles / self.clock_ghz
     }
 
-    /// Cycles needed to stream `bytes` from DRAM across the whole device.
-    pub fn dram_cycles_for_bytes(&self, bytes: f64) -> f64 {
-        let ns = bytes / self.dram_bandwidth_gbs;
-        self.ns_to_cycles(ns)
-    }
-
     /// Peak Tensor Core throughput in FLOP per cycle per SM for a multiply
     /// data type.
     pub fn tensor_flops_per_cycle_per_sm(&self, dtype: DType) -> f64 {

@@ -18,7 +18,6 @@ use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_layout::Layout;
-use hexcute_sim::{FunctionalSim, SimTableCache};
 use hexcute_synthesis::{SynthesisOptions, Synthesizer};
 
 use crate::report::Report;
@@ -169,42 +168,14 @@ pub fn synthesis_incremental_entries() -> Vec<FastPathEntry> {
         })
     };
 
-    let mut entries = vec![
+    vec![
         synthesize_entry("gemm_synthesize_all_candidates", &gemm),
         synthesize_entry("attention_synthesize_all_candidates", &attention),
         synthesize_entry("moe_synthesize_all_candidates", &moe),
         compile_entry("gemm_compile_uncached", &gemm),
         compile_entry("attention_compile_uncached", &attention),
         compile_entry("moe_compile_uncached", &moe),
-    ];
-
-    // Functional simulation of every sibling candidate of one small GEMM:
-    // the reference rebuilds each candidate's index tables; the incremental
-    // side shares one fingerprint-keyed table cache across siblings.
-    let sim_program = small_gemm_program();
-    let sim_candidates = Synthesizer::new(&sim_program, &arch, SynthesisOptions::default())
-        .synthesize()
-        .unwrap();
-    let mut sim_inputs = HashMap::new();
-    sim_inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
-    sim_inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
-    entries.push(incremental_before_after(
-        "functional_simulate_siblings",
-        |incremental| {
-            // A fresh cache per sweep: tables are shared across the sibling
-            // candidates of one sweep, not across repeated measurements.
-            let shared_cache = SimTableCache::new();
-            for candidate in &sim_candidates {
-                let sim = FunctionalSim::new(&sim_program, candidate);
-                if incremental {
-                    std::hint::black_box(sim.run_with_cache(&sim_inputs, &shared_cache).unwrap());
-                } else {
-                    std::hint::black_box(sim.run(&sim_inputs).unwrap());
-                }
-            }
-        },
-    ));
-    entries
+    ]
 }
 
 /// The serial-incremental options: the PR 2 behaviour (incremental walk, one
@@ -320,13 +291,11 @@ pub fn synthesis_parallel_entries() -> Vec<FastPathEntry> {
     entries
 }
 
-/// Exercises the bounded shared caches once (sibling candidates of a small
-/// GEMM scored and simulated twice through shared caches) and returns their
-/// hit/miss/eviction counters: the simulator table cache, the cost model's
-/// per-operation cache and its bounded whole-candidate cache. Printed by the
-/// `repro_*` binaries.
+/// Exercises the cost model's shared caches once (sibling candidates of a
+/// small GEMM scored twice through one model) and returns their
+/// hit/miss/eviction counters: the per-operation cache and the bounded
+/// whole-candidate cache. Printed by the `repro_*` binaries.
 pub fn shared_cache_stats() -> (
-    hexcute_parallel::cache::CacheStats,
     hexcute_parallel::cache::CacheStats,
     hexcute_parallel::cache::CacheStats,
 ) {
@@ -335,24 +304,13 @@ pub fn shared_cache_stats() -> (
     let candidates = Synthesizer::new(&program, &arch, SynthesisOptions::default())
         .synthesize()
         .unwrap();
-    let mut inputs = HashMap::new();
-    inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
-    inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
-
-    let table_cache = SimTableCache::new();
     let model = hexcute_costmodel::CostModel::new(&arch);
     for _ in 0..2 {
         for candidate in &candidates {
-            let sim = FunctionalSim::new(&program, candidate);
-            std::hint::black_box(sim.run_with_cache(&inputs, &table_cache).unwrap());
             std::hint::black_box(model.estimate(&program, candidate));
         }
     }
-    (
-        table_cache.stats(),
-        model.op_cache_stats(),
-        model.candidate_cache_stats(),
-    )
+    (model.op_cache_stats(), model.candidate_cache_stats())
 }
 
 /// Exercises a (memory-only) kernel-artifact cache once — a small GEMM

@@ -126,11 +126,6 @@ pub struct LoweredKernel {
 }
 
 impl LoweredKernel {
-    /// The shared-memory allocation of a tensor, if any.
-    pub fn smem_alloc(&self, tensor: TensorId) -> Option<&SmemAlloc> {
-        self.smem_allocs.iter().find(|a| a.tensor == tensor)
-    }
-
     /// Renders the per-block instruction stream as stable text, one line per
     /// [`LoweredOp`], with tensors referred to by name. This is the
     /// serialization the persistent kernel-artifact cache stores: the lines

@@ -13,11 +13,14 @@
 //!   winner equals the exhaustive argmin, artifact included,
 //! * artifact cache cold vs. warm (memory and disk hits).
 //!
+//! The deterministic anchor also simulates each family's preferred
+//! candidate with the table-driven `FunctionalSim::run` and the
+//! element-wise `FunctionalSim::run_reference`, bit for bit.
+//!
 //! A second oracle checks the memo tiers: for every family, a warm answer
 //! from the lossy thread-local tier or the shared sharded tier of
-//! `CostModel::estimate`, `PerfEvaluator::evaluate` and
-//! `FunctionalSim::run_with_cache` equals a cold call on a fresh instance
-//! bit for bit.
+//! `CostModel::estimate` equals a cold call on a fresh instance bit for bit,
+//! and so does the `PerfEvaluator::evaluate` report built on it.
 //!
 //! Every reference is selected by an argument, never by process-wide state,
 //! so each cell is isolated from the other tests in this binary. Every new
@@ -41,7 +44,7 @@ use hexcute_kernels::grouped_gemm::{grouped_gemm, GroupedGemmConfig, GroupedGemm
 use hexcute_kernels::mamba::{selective_scan, ScanConfig, ScanShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_kernels::quant_gemm::{w4a16_gemm, QuantGemmConfig, QuantGemmShape};
-use hexcute_sim::{FunctionalSim, PerfEvaluator, PerfReport, SimTableCache};
+use hexcute_sim::{FunctionalSim, PerfEvaluator, PerfReport};
 use hexcute_synthesis::{Candidate, SynthesisOptions, Synthesizer};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -428,17 +431,29 @@ fn buffer_bits(buffers: &HashMap<String, Vec<f32>>) -> Vec<(String, Vec<u32>)> {
     bits
 }
 
-/// Candidates the memo oracle simulates per family: the preferred one and
-/// its first sibling, which reuses most of the preferred one's index tables.
-/// (The simulator is the slowest call here; the cost model and perf
-/// evaluator are checked on every candidate.)
-const SIMULATED_SIBLINGS: usize = 2;
+/// The table-driven `FunctionalSim::run` against its element-wise oracle
+/// `FunctionalSim::run_reference` on the preferred candidate: every global
+/// buffer must agree bit for bit.
+fn assert_simulation_matches_reference(workload: &Workload, arch: &GpuArch, seed: u64) {
+    let program = workload.build();
+    let candidate = Synthesizer::new(&program, arch, SynthesisOptions::default())
+        .synthesize_preferred()
+        .unwrap();
+    let inputs = global_inputs(&program, seed);
+    let sim = FunctionalSim::new(&program, &candidate);
+    assert_eq!(
+        buffer_bits(&sim.run(&inputs).unwrap()),
+        buffer_bits(&sim.run_reference(&inputs).unwrap()),
+        "table-driven simulation of {} diverged from the reference",
+        program.name
+    );
+}
 
 /// The memo-hit oracle for one (workload, arch) pair: every answer a memo
-/// tier serves for `CostModel::estimate`, `PerfEvaluator::evaluate` and
-/// `FunctionalSim::run_with_cache` equals, bit for bit, a cold call on a
-/// fresh instance (a fresh salt, so no tier can answer it). Three warm
-/// passes run on one instance of each:
+/// tier serves for `CostModel::estimate` equals, bit for bit, a cold call on
+/// a fresh instance (a fresh salt, so no tier can answer it), and so does
+/// the `PerfEvaluator::evaluate` report derived from it. Three warm passes
+/// run on one model:
 ///
 /// * `sibling-warm`: candidates in enumeration order, so per-operation
 ///   entries written for one candidate answer its siblings;
@@ -446,7 +461,7 @@ const SIMULATED_SIBLINGS: usize = 2;
 ///   tier (the shared tier's counters must not move);
 /// * `shared-hit`: a fresh thread, whose lossy tables are empty, so the
 ///   shared sharded tier answers (it must record no new miss).
-fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch, seed: u64) {
+fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch) {
     if !workload.supports(arch) {
         return;
     }
@@ -454,8 +469,6 @@ fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch, seed: 
     let candidates = Synthesizer::new(&program, arch, SynthesisOptions::default())
         .synthesize()
         .unwrap();
-    let inputs = global_inputs(&program, seed);
-    let simulated = SIMULATED_SIBLINGS.min(candidates.len());
     let cold: Vec<(CostBreakdown, PerfReport)> = candidates
         .iter()
         .map(|candidate| {
@@ -464,36 +477,19 @@ fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch, seed: 
             (cost, perf)
         })
         .collect();
-    let cold_buffers: Vec<_> = candidates[..simulated]
-        .iter()
-        .map(|candidate| {
-            let sim = FunctionalSim::new(&program, candidate);
-            buffer_bits(&sim.run_with_cache(&inputs, &SimTableCache::new()).unwrap())
-        })
-        .collect();
 
     let model = CostModel::new(arch);
     let evaluator = PerfEvaluator::new(arch);
-    let tables = SimTableCache::new();
-    let warm = |label: &str, i: usize, simulate: bool| {
+    let warm = |label: &str, i: usize| {
         let candidate = &candidates[i];
         let cost = model.estimate(&program, candidate);
         let perf = evaluator.evaluate(&program, candidate, &cost);
         assert_same_score(label, &program, i, (&cold[i].0, &cold[i].1), (&cost, &perf));
-        if simulate && i < simulated {
-            let sim = FunctionalSim::new(&program, candidate);
-            assert_eq!(
-                buffer_bits(&sim.run_with_cache(&inputs, &tables).unwrap()),
-                cold_buffers[i],
-                "[{label}] simulated buffers of candidate {i} of {} diverged",
-                program.name
-            );
-        }
     };
     for i in 0..candidates.len() {
-        warm("sibling-warm", i, true);
+        warm("sibling-warm", i);
         let before = model.candidate_cache_stats();
-        warm("lossy-hit", i, false);
+        warm("lossy-hit", i);
         let after = model.candidate_cache_stats();
         assert_eq!(
             (before.hits, before.misses),
@@ -502,28 +498,21 @@ fn assert_memo_hits_match_cold_calls(workload: &Workload, arch: &GpuArch, seed: 
             program.name
         );
     }
-    let misses = || {
-        (
-            model.candidate_cache_stats().misses,
-            evaluator.bank_cache_stats().misses,
-            tables.stats().misses,
-        )
-    };
-    let (hits_before, misses_before) = (model.candidate_cache_stats().hits, misses());
+    let before = model.candidate_cache_stats();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for i in 0..candidates.len() {
-                warm("shared-hit", i, true);
+                warm("shared-hit", i);
             }
         });
     });
+    let after = model.candidate_cache_stats();
     assert_eq!(
-        misses_before,
-        misses(),
+        before.misses, after.misses,
         "a fresh thread recomputed an entry the shared tier holds for {}",
         program.name
     );
-    assert!(model.candidate_cache_stats().hits > hits_before);
+    assert!(after.hits > before.hits);
 }
 
 /// Every family once (one representative instance each), on its natural
@@ -582,8 +571,9 @@ fn every_family_conforms_across_the_toggle_matrix() {
             &h100,
         ),
     ];
-    for (workload, arch) in &cases {
+    for (seed, (workload, arch)) in cases.iter().enumerate() {
         assert_conformance(workload, arch);
+        assert_simulation_matches_reference(workload, arch, seed as u64);
     }
 }
 
@@ -651,7 +641,6 @@ proptest! {
         c in 0usize..12,
         tokens in collection::vec(0usize..=48, 2..=6),
         on_h100 in 0usize..2,
-        seed in 0u64..1 << 32,
     ) {
         for family in 0..8 {
             let workload = workload_from(family, a, b, c, tokens.clone());
@@ -661,7 +650,7 @@ proptest! {
             } else {
                 a100
             };
-            assert_memo_hits_match_cold_calls(&workload, &arch, seed);
+            assert_memo_hits_match_cold_calls(&workload, &arch);
         }
     }
 }

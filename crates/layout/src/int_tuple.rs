@@ -49,14 +49,6 @@ impl IntTuple {
         }
     }
 
-    /// Returns the children if this node is a tuple.
-    pub fn as_tuple(&self) -> Option<&[IntTuple]> {
-        match self {
-            IntTuple::Int(_) => None,
-            IntTuple::Tuple(children) => Some(children),
-        }
-    }
-
     /// The number of top-level modes. A leaf has rank 1.
     pub fn rank(&self) -> usize {
         match self {

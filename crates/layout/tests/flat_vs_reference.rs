@@ -65,6 +65,50 @@ proptest! {
     }
 
     #[test]
+    fn map_coords_agrees_with_reference(
+        flat in any_layout(4),
+        tile in compact_layout(3),
+        rep_log in 0usize..=3,
+        inner_log in 1usize..=3,
+        stride_log in 0usize..=3,
+        outer_log in 2usize..=4,
+    ) {
+        // The tree walk of `map_coords` must match the flattened-stride dot
+        // product on hierarchical layouts too: a logical_divide result nests
+        // the tiler and its complement, a logical_product the tile and its
+        // repetition.
+        let total = 1usize << (inner_log + stride_log + outer_log);
+        let divided = Layout::identity(total)
+            .logical_divide(&Layout::from_mode(1 << inner_log, 1 << stride_log))
+            .unwrap();
+        let product = tile
+            .logical_product(&Layout::from_mode(1 << rep_log, 1))
+            .unwrap();
+        for layout in [&flat, &divided, &product] {
+            // Every in-range leaf coordinate, leftmost leaf fastest.
+            let extents = layout.shape().flatten();
+            for i in 0..layout.size() {
+                let mut rest = i;
+                let coords: Vec<usize> = extents
+                    .iter()
+                    .map(|&extent| {
+                        let c = rest % extent;
+                        rest /= extent;
+                        c
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    layout.map_coords(&coords),
+                    layout.map_coords_reference(&coords),
+                    "{} at {:?}",
+                    layout,
+                    coords
+                );
+            }
+        }
+    }
+
+    #[test]
     fn coalesce_agrees_with_reference(layout in any_layout(5)) {
         prop_assert_eq!(layout.coalesce(), layout.coalesce_reference());
     }

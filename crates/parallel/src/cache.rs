@@ -1,12 +1,15 @@
 //! A sharded concurrent memo map with hit/miss/eviction counters.
 //!
-//! The incremental search shares its memo caches (per-tensor shared-memory
-//! finishing, whole-candidate cost estimates, bank-conflict charges,
-//! simulator index tables) across the worker pool. Every cached value is a
-//! *pure function of its key*, so the maps only need to be safe and cheap
-//! under concurrency — a racing recomputation returns a bit-identical value
-//! and either insert may win without affecting results. Keys are spread over
-//! independently locked shards so parallel workers rarely contend.
+//! The incremental search shares three memos across the worker pool: the
+//! per-tensor shared-memory finishing memo (`hexcute_synthesis::prefix`) and
+//! the cost model's per-operation and whole-candidate estimates. Each is
+//! read back within one compile by sibling candidates that share choices; a
+//! memo that no later lookup reads back is not kept here. Every cached value
+//! is a *pure function of its key*, so the maps only need to be safe and
+//! cheap under concurrency — a racing recomputation returns a bit-identical
+//! value and either insert may win without affecting results. Keys are
+//! spread over independently locked shards so parallel workers rarely
+//! contend.
 //!
 //! Growth can be bounded with [`ShardedMap::bounded`]: when an insert would
 //! push a shard past its per-shard capacity the shard is cleared (simple

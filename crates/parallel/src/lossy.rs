@@ -1,14 +1,22 @@
 //! A thread-local, lossy, direct-mapped memo tier in front of [`ShardedMap`].
 //!
-//! Every memo the synthesis pipeline keeps caches a *pure function of its
-//! key*, so a cache is allowed to be lossy: forgetting an entry only costs a
-//! recomputation, never correctness. This module exploits that with the
-//! cheapest possible lookup structure — a fixed-size, power-of-two,
-//! direct-mapped table probed with a precomputed fingerprint tag, no locks,
-//! no hashing of the key itself, no growth. On the single-threaded hot path
-//! of the search (one worker walking one subtree) this replaces a
-//! [`ShardedMap`] shard-lock acquisition plus a `HashMap` probe with one
-//! index computation and one slot compare.
+//! It fronts the two memos of the cost model (`hexcute-costmodel`): the
+//! per-operation issue/completion estimates and the whole-candidate
+//! estimates. Both are read back within one compile, because sibling
+//! candidates share most of their operation choices. A memo that the
+//! default compile path never reads back does not belong here, which is why
+//! the simulator keeps its index tables for one run and the perf evaluator
+//! computes bank-conflict charges directly.
+//!
+//! Every memo cached here is a *pure function of its key*, so a cache is
+//! allowed to be lossy: forgetting an entry only costs a recomputation,
+//! never correctness. This module exploits that with the cheapest possible
+//! lookup structure — a fixed-size, power-of-two, direct-mapped table probed
+//! with a precomputed fingerprint tag, no locks, no hashing of the key
+//! itself, no growth. On the single-threaded hot path of the search (one
+//! worker walking one subtree) this replaces a [`ShardedMap`] shard-lock
+//! acquisition plus a `HashMap` probe with one index computation and one
+//! slot compare.
 //!
 //! ## Bit-identity
 //!
@@ -44,12 +52,11 @@ use crate::cache::{CacheStats, ShardedMap};
 /// tagged key/value pair; collisions overwrite (an eviction, counted).
 ///
 /// Sized for one compile. Entries never outlive their compile (each
-/// compile builds a fresh cost model and perf evaluator, each with a new
-/// [`instance_salt`]), so slots only need to hold one compile's working
-/// set. The table is direct-mapped, though, so a smaller one loses hits to
-/// collisions within that compile: on cold attention compiles the hit rate
-/// is under a point lower at 2048 slots than at 4096, but one at 1024 and
-/// five at 256.
+/// compile builds a fresh cost model with a new [`instance_salt`]), so
+/// slots only need to hold one compile's working set. The table is
+/// direct-mapped, though, so a smaller one loses hits to collisions within
+/// that compile: on cold attention compiles the hit rate is under a point
+/// lower at 2048 slots than at 4096, but one at 1024 and five at 256.
 pub const DEFAULT_LOSSY_CAPACITY: usize = 2048;
 
 // ---------------------------------------------------------------------------
@@ -72,10 +79,10 @@ pub fn mix(a: u64, b: u64) -> u64 {
     splitmix(a ^ splitmix(b))
 }
 
-/// A fresh process-unique salt for one cache-owner instance (a cost model, a
-/// perf evaluator, a simulator table cache). Mixing the salt into every key
-/// keeps entries of distinct owners — which may disagree on what a key means
-/// (different architectures, different programs) — from ever matching.
+/// A fresh process-unique salt for one cache-owner instance (a cost model).
+/// Mixing the salt into every key keeps entries of distinct owners — which
+/// may disagree on what a key means (different architectures, different
+/// programs) — from ever matching.
 pub fn instance_salt() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     splitmix(NEXT.fetch_add(1, Ordering::Relaxed))
@@ -211,25 +218,11 @@ pub enum LossyPurpose {
     OpCost,
     /// `CostModel`'s whole-candidate estimates.
     CandidateEstimate,
-    /// `PerfEvaluator`'s per-operation bank-conflict charges.
-    BankPenalty,
-    /// `SimTableCache`'s per-copy index tables.
-    SimCopy,
-    /// `SimTableCache`'s per-tensor thread-value tables.
-    SimTv,
-    /// `SimTableCache`'s shared-memory gather address tables.
-    SimGather,
 }
 
 /// Every purpose, in display order.
-pub const LOSSY_PURPOSES: [LossyPurpose; 6] = [
-    LossyPurpose::OpCost,
-    LossyPurpose::CandidateEstimate,
-    LossyPurpose::BankPenalty,
-    LossyPurpose::SimCopy,
-    LossyPurpose::SimTv,
-    LossyPurpose::SimGather,
-];
+pub const LOSSY_PURPOSES: [LossyPurpose; 2] =
+    [LossyPurpose::OpCost, LossyPurpose::CandidateEstimate];
 
 const NUM_PURPOSES: usize = LOSSY_PURPOSES.len();
 
@@ -239,10 +232,6 @@ impl LossyPurpose {
         match self {
             LossyPurpose::OpCost => 0,
             LossyPurpose::CandidateEstimate => 1,
-            LossyPurpose::BankPenalty => 2,
-            LossyPurpose::SimCopy => 3,
-            LossyPurpose::SimTv => 4,
-            LossyPurpose::SimGather => 5,
         }
     }
 
@@ -251,10 +240,6 @@ impl LossyPurpose {
         match self {
             LossyPurpose::OpCost => "op-cost",
             LossyPurpose::CandidateEstimate => "candidate-estimate",
-            LossyPurpose::BankPenalty => "bank-penalty",
-            LossyPurpose::SimCopy => "sim-copy-table",
-            LossyPurpose::SimTv => "sim-tv-table",
-            LossyPurpose::SimGather => "sim-gather-table",
         }
     }
 }
@@ -302,7 +287,7 @@ thread_local! {
     /// `None` until first use. `dyn Any` erases the per-purpose key/value
     /// types (each purpose is only ever used with one concrete pair).
     static TABLES: RefCell<[Option<Box<dyn Any>>; NUM_PURPOSES]> =
-        const { RefCell::new([None, None, None, None, None, None]) };
+        const { RefCell::new([None, None]) };
 }
 
 /// Runs `f` on this thread's table for `purpose`, creating it on first use.
@@ -403,10 +388,8 @@ where
 }
 
 /// Probes this thread's lossy table only — no shared-tier fallthrough, no
-/// computation. Pair with [`backfill`] at call sites whose compute is
-/// fallible and must propagate errors before anything is cached; plain memo
-/// sites should use [`two_tier_get_or_insert_with`] instead.
-pub fn probe<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: &K) -> Option<V>
+/// computation.
+fn probe<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: &K) -> Option<V>
 where
     K: Eq + Clone + 'static,
     V: Clone + 'static,
@@ -429,7 +412,7 @@ where
 
 /// Stores a freshly computed value in this thread's lossy table (the second
 /// half of a [`probe`]-miss).
-pub fn backfill<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: K, value: V)
+fn backfill<K, V>(purpose: LossyPurpose, salt: u64, tag: u64, key: K, value: V)
 where
     K: Eq + 'static,
     V: Clone + 'static,
@@ -542,12 +525,18 @@ mod tests {
     fn stats_are_exported_per_purpose_as_cache_stats() {
         let salt = instance_salt();
         let shared: ShardedMap<u64, u64> = ShardedMap::new();
-        let before = lossy_stats(LossyPurpose::SimGather);
+        let before = lossy_stats(LossyPurpose::CandidateEstimate);
         for _ in 0..3 {
-            let _ =
-                two_tier_get_or_insert_with(LossyPurpose::SimGather, salt, 77, &shared, 77, || 1);
+            let _ = two_tier_get_or_insert_with(
+                LossyPurpose::CandidateEstimate,
+                salt,
+                77,
+                &shared,
+                77,
+                || 1,
+            );
         }
-        let after = lossy_stats(LossyPurpose::SimGather);
+        let after = lossy_stats(LossyPurpose::CandidateEstimate);
         assert!(after.hits >= before.hits + 2, "{before:?} -> {after:?}");
         assert!(after.misses > before.misses);
         let total = lossy_stats_total();

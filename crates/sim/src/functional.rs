@@ -15,21 +15,19 @@
 //! The simulator instead precomputes per-operation **index tables** once —
 //! for each `(thread, value)` pair the source and destination addresses,
 //! with the main-loop iteration folded in as a single additive offset — and
-//! the inner loops become straight array indexing. The reference
+//! the inner loops become straight array indexing. The tables belong to one
+//! run: the candidate is fixed within it, so they are keyed by operation or
+//! tensor alone and dropped when the run returns. The reference
 //! element-by-element path is kept as a test oracle, reachable only through
 //! the explicit [`FunctionalSim::run_reference`] call; both paths produce
 //! bit-identical buffers.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use hexcute_arch::{DType, MemSpace};
 use hexcute_ir::{ElementwiseOp, Op, OpId, OpKind, Program, ReduceOp, TensorId};
 use hexcute_layout::{Layout, Swizzle, SwizzledLayout, TvLayout};
-use hexcute_parallel::cache::{CacheStats, ShardedMap};
-use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::Candidate;
 
 use crate::error::{Result, SimError};
@@ -163,92 +161,15 @@ struct TvTable {
     index: Vec<usize>,
 }
 
-/// Default bound on resident tables per table kind: index tables are big
-/// (one `usize` per element side), so a long-lived shared cache is capped
-/// with simple shard eviction instead of growing with every candidate it
-/// ever simulated. Evicted tables are rebuilt on demand, bit-identically.
-const TABLE_CACHE_CAPACITY: usize = 1024;
-
-/// Precomputed index tables keyed by content fingerprints, so one cache can
-/// be shared across *sibling candidates* of the same program: the search
-/// tree varies one instruction choice at a time, and an operation whose
-/// choice (and touched layouts) is unchanged between candidates reuses its
-/// tables instead of rebuilding them — the functional-simulation analogue of
-/// the prefix-shared search (`hexcute_synthesis::prefix`).
-///
-/// The maps are sharded behind read-write locks, so one cache can also be
-/// shared across *threads* simulating sibling candidates concurrently; every
-/// table is a pure function of its fingerprint key, so concurrent use is
-/// bit-identical to private caches. Growth is bounded (see
-/// [`SimTableCache::with_capacity`]).
-///
-/// [`FunctionalSim::run`] uses a private cache per run; pass a long-lived
-/// cache to [`FunctionalSim::run_with_cache`] to share tables across runs
-/// and candidates. Results are bit-identical either way.
-#[derive(Debug)]
-pub struct SimTableCache {
-    copy: ShardedMap<(OpId, u64), Arc<CopyTable>>,
-    tv: ShardedMap<(TensorId, u64), Arc<TvTable>>,
-    shared_gather: ShardedMap<(TensorId, u64), Arc<Vec<usize>>>,
-    /// Process-unique salt mixed into every lossy-tier key: the thread-local
-    /// lossy tables in front of these maps outlive this cache, and a table
-    /// entry of one cache instance must never be served to another.
-    salt: u64,
-}
-
-impl Default for SimTableCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SimTableCache {
-    /// An empty cache with the default capacity bound.
-    pub fn new() -> Self {
-        Self::with_capacity(TABLE_CACHE_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` tables of each kind
-    /// (copy / thread-value / gather); over-full shards are cleared and the
-    /// evicted tables rebuilt on demand.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SimTableCache {
-            copy: ShardedMap::bounded(capacity),
-            tv: ShardedMap::bounded(capacity),
-            shared_gather: ShardedMap::bounded(capacity),
-            salt: lossy::instance_salt(),
-        }
-    }
-
-    /// Number of cached tables (copy + thread-value + gather).
-    pub fn len(&self) -> usize {
-        self.copy.len() + self.tv.len() + self.shared_gather.len()
-    }
-
-    /// Whether the cache holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Combined hit/miss/eviction counters across the three table kinds.
-    pub fn stats(&self) -> CacheStats {
-        self.copy
-            .stats()
-            .merged(&self.tv.stats())
-            .merged(&self.shared_gather.stats())
-    }
-}
-
-/// Per-run state: the fingerprints resolved once per operation/tensor for
-/// this candidate (so inner loops don't re-hash layouts per iteration), the
-/// reusable scratch buffer, and whether this run is the element-wise
-/// reference.
+/// Per-run state: the index tables built so far (one per copy operation,
+/// register tensor and shared-memory gather), the reusable scratch buffer,
+/// and whether this run is the element-wise reference.
 #[derive(Debug, Default)]
 struct RunState {
     reference: bool,
-    copy_fp: HashMap<OpId, u64>,
-    tv_fp: HashMap<TensorId, u64>,
-    gather_fp: HashMap<TensorId, u64>,
+    copy: HashMap<OpId, CopyTable>,
+    tv: HashMap<TensorId, TvTable>,
+    gather: HashMap<TensorId, Vec<usize>>,
     scratch: Vec<f32>,
 }
 
@@ -297,25 +218,7 @@ impl<'a> FunctionalSim<'a> {
     /// Returns an error when a register tensor lacks a synthesized layout or
     /// an input buffer is too small.
     pub fn run(&self, inputs: &HashMap<String, Vec<f32>>) -> Result<HashMap<String, Vec<f32>>> {
-        let cache = SimTableCache::new();
-        self.run_with_cache(inputs, &cache)
-    }
-
-    /// Like [`FunctionalSim::run`], but reusing `cache` across calls — and
-    /// across *sibling candidates* of the same program: tables are keyed by
-    /// content fingerprints of the instruction choice and the layouts it
-    /// touches, so a candidate re-simulates only the operations its differing
-    /// choice suffix changed. Results are bit-identical to [`FunctionalSim::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FunctionalSim::run`].
-    pub fn run_with_cache(
-        &self,
-        inputs: &HashMap<String, Vec<f32>>,
-        cache: &SimTableCache,
-    ) -> Result<HashMap<String, Vec<f32>>> {
-        self.simulate(inputs, cache, RunState::default())
+        self.simulate(inputs, RunState::default())
     }
 
     /// The element-by-element reference simulation: evaluates the layout
@@ -334,13 +237,12 @@ impl<'a> FunctionalSim<'a> {
             reference: true,
             ..RunState::default()
         };
-        self.simulate(inputs, &SimTableCache::new(), state)
+        self.simulate(inputs, state)
     }
 
     fn simulate(
         &self,
         inputs: &HashMap<String, Vec<f32>>,
-        cache: &SimTableCache,
         mut state: RunState,
     ) -> Result<HashMap<String, Vec<f32>>> {
         let threads = self.program.threads_per_block;
@@ -397,8 +299,6 @@ impl<'a> FunctionalSim<'a> {
             );
         }
 
-        // `state` holds the per-run fingerprint resolutions and scratch; the
-        // index tables themselves live in `cache` and may outlive this run.
         // Execution order: pre-loop ops, the loop, post-loop ops.
         let first_loop = self.program.ops().iter().position(|o| o.in_main_loop);
         let last_loop = self.program.ops().iter().rposition(|o| o.in_main_loop);
@@ -406,15 +306,7 @@ impl<'a> FunctionalSim<'a> {
         match (first_loop, last_loop) {
             (Some(first), Some(last)) => {
                 for op in &ops[..first] {
-                    self.execute(
-                        op,
-                        0,
-                        &mut global,
-                        &mut shared,
-                        &mut regs,
-                        cache,
-                        &mut state,
-                    )?;
+                    self.execute(op, 0, &mut global, &mut shared, &mut regs, &mut state)?;
                 }
                 for iteration in 0..self.program.main_loop_trip_count {
                     for op in &ops[first..=last] {
@@ -425,35 +317,18 @@ impl<'a> FunctionalSim<'a> {
                                 &mut global,
                                 &mut shared,
                                 &mut regs,
-                                cache,
                                 &mut state,
                             )?;
                         }
                     }
                 }
                 for op in &ops[last + 1..] {
-                    self.execute(
-                        op,
-                        0,
-                        &mut global,
-                        &mut shared,
-                        &mut regs,
-                        cache,
-                        &mut state,
-                    )?;
+                    self.execute(op, 0, &mut global, &mut shared, &mut regs, &mut state)?;
                 }
             }
             _ => {
                 for op in ops {
-                    self.execute(
-                        op,
-                        0,
-                        &mut global,
-                        &mut shared,
-                        &mut regs,
-                        cache,
-                        &mut state,
-                    )?;
+                    self.execute(op, 0, &mut global, &mut shared, &mut regs, &mut state)?;
                 }
             }
         }
@@ -482,7 +357,6 @@ impl<'a> FunctionalSim<'a> {
             })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         op: &Op,
@@ -490,14 +364,13 @@ impl<'a> FunctionalSim<'a> {
         global: &mut HashMap<TensorId, Vec<f32>>,
         shared: &mut HashMap<TensorId, Vec<f32>>,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         match &op.kind {
-            OpKind::Copy { src, dst } => self.execute_copy(
-                op, *src, *dst, iteration, global, shared, regs, cache, state,
-            ),
-            OpKind::Gemm { c, a, b } => self.execute_gemm(*c, *a, *b, shared, regs, cache, state),
+            OpKind::Copy { src, dst } => {
+                self.execute_copy(op, *src, *dst, iteration, global, shared, regs, state)
+            }
+            OpKind::Gemm { c, a, b } => self.execute_gemm(*c, *a, *b, shared, regs, state),
             OpKind::Cast { src, dst } => {
                 let dtype = self.program.tensor(*dst).dtype;
                 let src_file = regs.get(src).cloned().ok_or_else(|| self.missing(*src))?;
@@ -509,7 +382,7 @@ impl<'a> FunctionalSim<'a> {
                 }
                 Ok(())
             }
-            OpKind::Rearrange { src, dst } => self.redistribute(*src, *dst, regs, cache, state),
+            OpKind::Rearrange { src, dst } => self.redistribute(*src, *dst, regs, state),
             OpKind::Elementwise {
                 inputs,
                 output,
@@ -520,7 +393,7 @@ impl<'a> FunctionalSim<'a> {
                 dst,
                 dim,
                 op: rop,
-            } => self.execute_reduce(*src, *dst, *dim, *rop, regs, cache, state),
+            } => self.execute_reduce(*src, *dst, *dim, *rop, regs, state),
             OpKind::Fill { dst, value } => {
                 let file = regs.get_mut(dst).ok_or_else(|| self.missing(*dst))?;
                 file.data.iter_mut().for_each(|x| *x = *value as f32);
@@ -532,7 +405,7 @@ impl<'a> FunctionalSim<'a> {
                 zero,
                 dst,
                 group_size,
-            } => self.execute_dequant(*src, *scale, *zero, *dst, *group_size, regs, cache, state),
+            } => self.execute_dequant(*src, *scale, *zero, *dst, *group_size, regs, state),
         }
     }
 
@@ -549,15 +422,13 @@ impl<'a> FunctionalSim<'a> {
         dst: TensorId,
         group_size: usize,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         let shared_dummy = HashMap::new();
-        let (tile, src_full) = self.gather_tile(src, &shared_dummy, regs, cache, state)?;
-        let (scale_tile, scale_full) =
-            self.gather_tile(scale, &shared_dummy, regs, cache, state)?;
+        let (tile, src_full) = self.gather_tile(src, &shared_dummy, regs, state)?;
+        let (scale_tile, scale_full) = self.gather_tile(scale, &shared_dummy, regs, state)?;
         let zero_full = match zero {
-            Some(z) => Some(self.gather_tile(z, &shared_dummy, regs, cache, state)?.1),
+            Some(z) => Some(self.gather_tile(z, &shared_dummy, regs, state)?.1),
             None => None,
         };
         let dtype = self.program.tensor(dst).dtype;
@@ -574,7 +445,7 @@ impl<'a> FunctionalSim<'a> {
                 out[r + rows * c] = quantize(dtype, (q - z) * s);
             }
         }
-        self.scatter_tile(dst, &out, regs, cache, state)
+        self.scatter_tile(dst, &out, regs, state)
     }
 
     fn missing(&self, id: TensorId) -> SimError {
@@ -640,41 +511,6 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
-    /// Mixes the layout-relevant parts of a swizzled layout into `hasher`.
-    fn hash_swizzled(layout: &SwizzledLayout, hasher: &mut DefaultHasher) {
-        layout.layout().hash(hasher);
-        let swizzle = layout.swizzle();
-        swizzle.bits().hash(hasher);
-        swizzle.base().hash(hasher);
-        swizzle.shift().hash(hasher);
-    }
-
-    /// Content fingerprint of a copy's index tables: the walked thread-value
-    /// layout and the memory layouts of both sides — exactly the inputs
-    /// `build_copy_table` reads. Returns the walk alongside the hash so a
-    /// cache miss can build the table without re-deriving it.
-    fn copy_fingerprint(&self, op: &Op, src: TensorId, dst: TensorId) -> Result<(u64, TvLayout)> {
-        let walk = self.copy_walk(op, src, dst)?;
-        let mut hasher = DefaultHasher::new();
-        self.program.name.hash(&mut hasher);
-        walk.hash(&mut hasher);
-        for id in [src, dst] {
-            let decl = self.program.tensor(id);
-            std::mem::discriminant(&decl.space).hash(&mut hasher);
-            match decl.space {
-                MemSpace::Global => {
-                    decl.global_layout
-                        .as_ref()
-                        .expect("global views carry layouts")
-                        .hash(&mut hasher);
-                }
-                MemSpace::Shared => Self::hash_swizzled(&self.smem_layout(id), &mut hasher),
-                MemSpace::Register => {}
-            }
-        }
-        Ok((hasher.finish(), walk))
-    }
-
     fn build_copy_table(&self, src: TensorId, dst: TensorId, walk: &TvLayout) -> CopyTable {
         let threads = walk.num_threads();
         let values = walk.values_per_thread();
@@ -725,53 +561,18 @@ impl<'a> FunctionalSim<'a> {
         global: &mut HashMap<TensorId, Vec<f32>>,
         shared: &mut HashMap<TensorId, Vec<f32>>,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         if state.reference {
             return self.execute_copy_reference(op, src, dst, iteration, global, shared, regs);
         }
-        let table = match state.copy_fp.get(&op.id) {
-            // A fingerprint already resolved this run: probe the lossy
-            // thread-local tier, then the shared tier. Either may have lost
-            // the table (direct-mapped eviction / bounded-shard clear) —
-            // rebuild (bit-identically) in that case. The rebuild is fallible
-            // (`copy_walk`), so this site uses the probe/backfill halves
-            // instead of the closure-style memo front.
-            Some(&fp) => {
-                let key = (op.id, fp);
-                let tag = lossy::mix(op.id.index() as u64, fp);
-                match lossy::probe(LossyPurpose::SimCopy, cache.salt, tag, &key) {
-                    Some(table) => table,
-                    None => {
-                        let table = match cache.copy.get(&key) {
-                            Some(table) => table,
-                            None => {
-                                let walk = self.copy_walk(op, src, dst)?;
-                                let table = Arc::new(self.build_copy_table(src, dst, &walk));
-                                cache.copy.insert(key, table.clone());
-                                table
-                            }
-                        };
-                        lossy::backfill(LossyPurpose::SimCopy, cache.salt, tag, key, table.clone());
-                        table
-                    }
-                }
-            }
-            None => {
-                let (fp, walk) = self.copy_fingerprint(op, src, dst)?;
-                state.copy_fp.insert(op.id, fp);
-                lossy::two_tier_get_or_insert_with(
-                    LossyPurpose::SimCopy,
-                    cache.salt,
-                    lossy::mix(op.id.index() as u64, fp),
-                    &cache.copy,
-                    (op.id, fp),
-                    || Arc::new(self.build_copy_table(src, dst, &walk)),
-                )
+        let table = match state.copy.entry(op.id) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let walk = self.copy_walk(op, src, dst)?;
+                entry.insert(self.build_copy_table(src, dst, &walk))
             }
         };
-        let table = &*table;
         let n = table.threads * table.values;
 
         // Pass 1: read every source element into the scratch buffer. Source
@@ -923,50 +724,27 @@ impl<'a> FunctionalSim<'a> {
         Ok(())
     }
 
-    fn tv_table(
-        &self,
-        id: TensorId,
-        cache: &SimTableCache,
-        state: &mut RunState,
-    ) -> Result<Arc<TvTable>> {
+    fn tv_table<'s>(&self, id: TensorId, state: &'s mut RunState) -> Result<&'s TvTable> {
         let tv = self
             .candidate
             .tv_layouts
             .get(&id)
             .ok_or_else(|| self.missing(id))?;
-        let fp = match state.tv_fp.get(&id) {
-            Some(&fp) => fp,
-            None => {
-                let mut hasher = DefaultHasher::new();
-                self.program.name.hash(&mut hasher);
-                tv.hash(&mut hasher);
-                let fp = hasher.finish();
-                state.tv_fp.insert(id, fp);
-                fp
-            }
-        };
-        Ok(lossy::two_tier_get_or_insert_with(
-            LossyPurpose::SimTv,
-            cache.salt,
-            lossy::mix(id.index() as u64, fp),
-            &cache.tv,
-            (id, fp),
-            || {
-                let threads = tv.num_threads();
-                let values = tv.values_per_thread();
-                let mut index = Vec::with_capacity(threads * values);
-                for t in 0..threads {
-                    for v in 0..values {
-                        index.push(tv.map(t, v));
-                    }
+        Ok(state.tv.entry(id).or_insert_with(|| {
+            let threads = tv.num_threads();
+            let values = tv.values_per_thread();
+            let mut index = Vec::with_capacity(threads * values);
+            for t in 0..threads {
+                for v in 0..values {
+                    index.push(tv.map(t, v));
                 }
-                Arc::new(TvTable {
-                    threads,
-                    values,
-                    index,
-                })
-            },
-        ))
+            }
+            TvTable {
+                threads,
+                values,
+                index,
+            }
+        }))
     }
 
     /// Gathers the full logical tile of a tensor (register or shared).
@@ -975,7 +753,6 @@ impl<'a> FunctionalSim<'a> {
         id: TensorId,
         shared: &HashMap<TensorId, Vec<f32>>,
         regs: &HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<(Vec<usize>, Vec<f32>)> {
         let decl = self.program.tensor(id);
@@ -987,7 +764,7 @@ impl<'a> FunctionalSim<'a> {
             MemSpace::Register => {
                 if fast {
                     let file = regs.get(&id).ok_or_else(|| self.missing(id))?;
-                    let table = self.tv_table(id, cache, state)?;
+                    let table = self.tv_table(id, state)?;
                     for t in 0..table.threads {
                         for v in 0..table.values {
                             let i = t * table.values + v;
@@ -1017,38 +794,17 @@ impl<'a> FunctionalSim<'a> {
             MemSpace::Shared => {
                 let buffer = shared.get(&id).ok_or_else(|| self.missing(id))?;
                 if fast {
-                    let fp = match state.gather_fp.get(&id) {
-                        Some(&fp) => fp,
-                        None => {
-                            let mut hasher = DefaultHasher::new();
-                            self.program.name.hash(&mut hasher);
-                            Self::hash_swizzled(&self.smem_layout(id), &mut hasher);
-                            let fp = hasher.finish();
-                            state.gather_fp.insert(id, fp);
-                            fp
-                        }
-                    };
-                    let addrs = lossy::two_tier_get_or_insert_with(
-                        LossyPurpose::SimGather,
-                        cache.salt,
-                        lossy::mix(id.index() as u64, fp),
-                        &cache.shared_gather,
-                        (id, fp),
-                        || {
-                            let layout = self.smem_layout(id);
-                            let addrs: Vec<usize> = (0..total)
-                                .map(|idx| {
-                                    let coords = [idx % tile[0], idx / tile[0]];
-                                    layout.swizzle().apply(self.address(
-                                        layout.layout(),
-                                        &coords,
-                                        0,
-                                    ))
-                                })
-                                .collect();
-                            Arc::new(addrs)
-                        },
-                    );
+                    let addrs = state.gather.entry(id).or_insert_with(|| {
+                        let layout = self.smem_layout(id);
+                        (0..total)
+                            .map(|idx| {
+                                let coords = [idx % tile[0], idx / tile[0]];
+                                layout
+                                    .swizzle()
+                                    .apply(self.address(layout.layout(), &coords, 0))
+                            })
+                            .collect()
+                    });
                     for (idx, &addr) in addrs.iter().enumerate() {
                         full[idx] = buffer.get(addr).copied().unwrap_or(0.0);
                     }
@@ -1078,13 +834,12 @@ impl<'a> FunctionalSim<'a> {
         id: TensorId,
         full: &[f32],
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         let decl = self.program.tensor(id);
         let total: usize = decl.tile_shape_2d().iter().product();
         if !state.reference {
-            let table = self.tv_table(id, cache, state)?;
+            let table = self.tv_table(id, state)?;
             let file = regs.get_mut(&id).ok_or_else(|| self.missing(id))?;
             for t in 0..table.threads {
                 for v in 0..table.values {
@@ -1113,7 +868,6 @@ impl<'a> FunctionalSim<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute_gemm(
         &self,
         c: TensorId,
@@ -1121,12 +875,11 @@ impl<'a> FunctionalSim<'a> {
         b: TensorId,
         shared: &mut HashMap<TensorId, Vec<f32>>,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
-        let (a_tile, a_full) = self.gather_tile(a, shared, regs, cache, state)?;
-        let (b_tile, b_full) = self.gather_tile(b, shared, regs, cache, state)?;
-        let (c_tile, mut c_full) = self.gather_tile(c, shared, regs, cache, state)?;
+        let (a_tile, a_full) = self.gather_tile(a, shared, regs, state)?;
+        let (b_tile, b_full) = self.gather_tile(b, shared, regs, state)?;
+        let (c_tile, mut c_full) = self.gather_tile(c, shared, regs, state)?;
         let (m, k) = (a_tile[0], a_tile[1]);
         let n = b_tile[0];
         debug_assert_eq!(c_tile, vec![m, n]);
@@ -1140,7 +893,7 @@ impl<'a> FunctionalSim<'a> {
                 c_full[mi + m * ni] += acc as f32;
             }
         }
-        self.scatter_tile(c, &c_full, regs, cache, state)
+        self.scatter_tile(c, &c_full, regs, state)
     }
 
     fn redistribute(
@@ -1148,12 +901,11 @@ impl<'a> FunctionalSim<'a> {
         src: TensorId,
         dst: TensorId,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         let shared_dummy = HashMap::new();
-        let (_, full) = self.gather_tile(src, &shared_dummy, regs, cache, state)?;
-        self.scatter_tile(dst, &full, regs, cache, state)
+        let (_, full) = self.gather_tile(src, &shared_dummy, regs, state)?;
+        self.scatter_tile(dst, &full, regs, state)
     }
 
     fn execute_elementwise(
@@ -1198,7 +950,6 @@ impl<'a> FunctionalSim<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute_reduce(
         &self,
         src: TensorId,
@@ -1206,11 +957,10 @@ impl<'a> FunctionalSim<'a> {
         dim: usize,
         op: ReduceOp,
         regs: &mut HashMap<TensorId, RegisterFile>,
-        cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
         let shared_dummy = HashMap::new();
-        let (tile, full) = self.gather_tile(src, &shared_dummy, regs, cache, state)?;
+        let (tile, full) = self.gather_tile(src, &shared_dummy, regs, state)?;
         let (rows, cols) = (tile[0], tile.get(1).copied().unwrap_or(1));
         let mut reduced_tile = tile.clone();
         reduced_tile[dim] = 1;
@@ -1241,7 +991,7 @@ impl<'a> FunctionalSim<'a> {
             // reduced tile is (rows, 1): index = r.
             dst_full[..total].copy_from_slice(&out[..total]);
         }
-        self.scatter_tile(dst, &dst_full, regs, cache, state)
+        self.scatter_tile(dst, &dst_full, regs, state)
     }
 }
 
@@ -1395,95 +1145,33 @@ mod tests {
         kb.copy(rc, gc);
         let program = kb.build().unwrap();
         let arch = GpuArch::a100();
-        let candidate = Synthesizer::new(&program, &arch, SynthesisOptions::default())
-            .synthesize_preferred()
+        // Every sibling candidate, not only the preferred one: siblings differ
+        // in one instruction choice at a time, so together they cover every
+        // copy instruction and layout the search can pick for this GEMM.
+        let candidates = Synthesizer::new(&program, &arch, SynthesisOptions::default())
+            .synthesize()
             .unwrap();
+        assert!(candidates.len() > 1);
         let mut rng = StdRng::seed_from_u64(5);
         let mut inputs = HashMap::new();
         inputs.insert("a".to_string(), random_vec(&mut rng, m * k));
         inputs.insert("b".to_string(), random_vec(&mut rng, n * k));
 
-        let sim = FunctionalSim::new(&program, &candidate);
-        let fast = sim.run(&inputs).unwrap();
-        let reference = sim.run_reference(&inputs).unwrap();
-        // Bit-for-bit identical, not just approximately equal.
-        assert_eq!(fast.len(), reference.len());
-        for (name, buf) in &fast {
-            let ref_bits: Vec<u32> = reference[name].iter().map(|x| x.to_bits()).collect();
-            let fast_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(fast_bits, ref_bits, "buffer {name} diverged");
-        }
-    }
-
-    #[test]
-    fn shared_table_cache_is_bit_identical_across_sibling_candidates() {
-        let (m, n, k) = (64, 64, 32);
-        let mut kb = KernelBuilder::new("siblings", 128);
-        let ga = kb.global_view(
-            "a",
-            DType::F16,
-            Layout::from_flat(&[m, k], &[k, 1]),
-            &[m, k],
-        );
-        let gb = kb.global_view(
-            "b",
-            DType::F16,
-            Layout::from_flat(&[n, k], &[k, 1]),
-            &[n, k],
-        );
-        let gc = kb.global_view(
-            "c",
-            DType::F32,
-            Layout::from_flat(&[m, n], &[n, 1]),
-            &[m, n],
-        );
-        let sa = kb.shared_tensor("sa", DType::F16, &[m, k]);
-        let sb = kb.shared_tensor("sb", DType::F16, &[n, k]);
-        let ra = kb.register_tensor("ra", DType::F16, &[m, k]);
-        let rb = kb.register_tensor("rb", DType::F16, &[n, k]);
-        let rc = kb.register_tensor("rc", DType::F32, &[m, n]);
-        kb.fill(rc, 0.0);
-        kb.copy(ga, sa);
-        kb.copy(gb, sb);
-        kb.copy(sa, ra);
-        kb.copy(sb, rb);
-        kb.gemm(rc, ra, rb);
-        kb.copy(rc, gc);
-        let program = kb.build().unwrap();
-        let arch = GpuArch::a100();
-        let candidates = Synthesizer::new(&program, &arch, SynthesisOptions::default())
-            .synthesize()
-            .unwrap();
-        assert!(candidates.len() > 1);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut inputs = HashMap::new();
-        inputs.insert("a".to_string(), random_vec(&mut rng, m * k));
-        inputs.insert("b".to_string(), random_vec(&mut rng, n * k));
-
-        // One long-lived cache serves every sibling candidate; outputs must
-        // equal the per-run-cache outputs bit for bit. Siblings sharing all
-        // choices for an op reuse its tables, so the cache grows by less
-        // than a full table set per candidate.
-        let cache = SimTableCache::new();
-        let mut sizes = Vec::new();
-        for candidate in &candidates {
+        for (i, candidate) in candidates.iter().enumerate() {
             let sim = FunctionalSim::new(&program, candidate);
-            let fresh = sim.run(&inputs).unwrap();
-            let cached = sim.run_with_cache(&inputs, &cache).unwrap();
-            for (name, buf) in &fresh {
-                let fresh_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
-                let cached_bits: Vec<u32> = cached[name].iter().map(|x| x.to_bits()).collect();
-                assert_eq!(fresh_bits, cached_bits, "buffer {name} diverged");
+            let fast = sim.run(&inputs).unwrap();
+            let reference = sim.run_reference(&inputs).unwrap();
+            // Bit-for-bit identical, not just approximately equal.
+            assert_eq!(fast.len(), reference.len());
+            for (name, buf) in &fast {
+                let ref_bits: Vec<u32> = reference[name].iter().map(|x| x.to_bits()).collect();
+                let fast_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(
+                    fast_bits, ref_bits,
+                    "buffer {name} of candidate {i} diverged"
+                );
             }
-            sizes.push(cache.len());
         }
-        let first = sizes[0];
-        let last = *sizes.last().unwrap();
-        assert!(first > 0, "the fast path built no tables at all: {sizes:?}");
-        assert!(
-            last < first * candidates.len(),
-            "no table sharing across siblings: {sizes:?}"
-        );
     }
 
     #[test]

@@ -23,8 +23,7 @@ mod functional;
 mod perf;
 
 pub use error::{Result, SimError};
-pub use functional::{quantize, FunctionalSim, SimTableCache};
+pub use functional::{quantize, FunctionalSim};
 pub use perf::{
-    bank_conflict_penalty, estimate_kernel, estimate_sequence, global_memory_efficiency,
-    PerfEvaluator, PerfReport,
+    bank_conflict_penalty, estimate_kernel, global_memory_efficiency, PerfEvaluator, PerfReport,
 };

@@ -7,17 +7,10 @@
 //! occupancy and wave quantization across SMs, the DRAM and Tensor Core
 //! rooflines of the whole device, and kernel-launch overhead.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::RwLock;
-
 use hexcute_arch::{GpuArch, MemSpace};
-use hexcute_costmodel::{op_choice_fingerprint, program_fingerprint, CostBreakdown, CostModel};
-use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
-use hexcute_layout::SwizzledLayout;
-use hexcute_parallel::cache::{CacheStats, ShardedMap};
-use hexcute_parallel::lossy::{self, LossyPurpose};
-use hexcute_synthesis::{bank_conflict_degree, Candidate, CopyChoice};
+use hexcute_costmodel::{CostBreakdown, CostModel};
+use hexcute_ir::{OpKind, Program};
+use hexcute_synthesis::{bank_conflict_degree, Candidate};
 
 /// The estimated execution profile of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,183 +48,41 @@ impl PerfReport {
 /// Estimates the device-level latency of one launch of the program with the
 /// given synthesized candidate.
 ///
-/// This is the one-shot entry point: it re-derives the instruction timeline
-/// with a fresh cost model and recomputes every bank-conflict penalty. When
-/// scoring many sibling candidates, use a shared [`PerfEvaluator`] (and a
-/// shared [`CostModel`]) instead — the results are bit-identical.
+/// This is the one-shot entry point: it derives the instruction timeline
+/// with a fresh cost model. A caller that already holds the candidate's
+/// [`CostBreakdown`] uses [`PerfEvaluator::evaluate`] instead — the results
+/// are bit-identical.
 pub fn estimate_kernel(program: &Program, candidate: &Candidate, arch: &GpuArch) -> PerfReport {
     let cost = CostModel::new(arch).estimate(program, candidate);
-    let bank_conflict_cycles = bank_conflict_penalty(program, candidate, arch);
-    finish_report(program, candidate, arch, &cost, bank_conflict_cycles)
+    PerfEvaluator::new(arch).evaluate(program, candidate, &cost)
 }
 
-/// An incremental performance evaluator for scoring many candidates of one
-/// program: per-operation bank-conflict penalties are memoized across
-/// candidates, keyed by the operation's choice fingerprint plus the layout of
-/// the shared buffer it touches — sibling candidates re-pay only the
-/// operations their differing choice suffix changed. Safe to share across
-/// threads (the cache is sharded over read-write locks, so the parallel
-/// search rarely contends on it).
+/// Derives performance reports from cost breakdowns the caller has already
+/// computed, so a compile that scored its candidates with the cost model
+/// does not derive the instruction timeline a second time.
 #[derive(Debug)]
 pub struct PerfEvaluator<'a> {
     arch: &'a GpuArch,
-    bank_cache: ShardedMap<(OpId, u64), f64>,
-    /// Fingerprint of the program the cache currently describes: operation
-    /// ids are only unique within one program, so evaluating a different
-    /// program clears the cache (sequential cross-program reuse is safe;
-    /// concurrent evaluation of *different* programs is not supported).
-    program_tag: RwLock<Option<u64>>,
-    /// Process-unique salt mixed into every lossy-tier key (the thread-local
-    /// tables outlive this evaluator; see `hexcute_parallel::lossy`).
-    salt: u64,
 }
 
 impl<'a> PerfEvaluator<'a> {
-    /// Creates an evaluator for the architecture with empty caches.
+    /// Creates an evaluator for the architecture.
     pub fn new(arch: &'a GpuArch) -> Self {
-        PerfEvaluator {
-            arch,
-            bank_cache: ShardedMap::new(),
-            program_tag: RwLock::new(None),
-            salt: lossy::instance_salt(),
-        }
-    }
-
-    /// Hit/miss/eviction counters of the per-operation bank-conflict cache.
-    pub fn bank_cache_stats(&self) -> CacheStats {
-        self.bank_cache.stats()
-    }
-
-    /// Clears the per-operation cache when `program` differs from the one it
-    /// was built for, returning the program's fingerprint for lossy-key
-    /// salting.
-    fn retag(&self, program: &Program) -> u64 {
-        let tag = program_fingerprint(program);
-        if *self.program_tag.read().unwrap() == Some(tag) {
-            return tag;
-        }
-        let mut current = self.program_tag.write().unwrap();
-        if *current != Some(tag) {
-            *current = Some(tag);
-            self.bank_cache.clear();
-        }
-        tag
+        PerfEvaluator { arch }
     }
 
     /// Derives the device-level performance report from an already-computed
-    /// cost breakdown (avoiding the duplicate instruction-timeline estimate
-    /// `estimate_kernel` performs). Bit-identical to [`estimate_kernel`] when
-    /// `cost` came from [`CostModel::estimate`] on the same inputs.
+    /// cost breakdown. Bit-identical to [`estimate_kernel`] when `cost` came
+    /// from [`CostModel::estimate`] on the same inputs.
     pub fn evaluate(
         &self,
         program: &Program,
         candidate: &Candidate,
         cost: &CostBreakdown,
     ) -> PerfReport {
-        let tag = self.retag(program);
-        let bank_conflict_cycles = self.bank_conflict_penalty(program, candidate, tag);
+        let bank_conflict_cycles = bank_conflict_penalty(program, candidate, self.arch);
         finish_report(program, candidate, self.arch, cost, bank_conflict_cycles)
     }
-
-    /// [`bank_conflict_penalty`] with per-operation memoization: a
-    /// thread-local lossy table (salted with the program tag — `OpId`s are
-    /// only unique per program) in front of the sharded cross-worker cache.
-    fn bank_conflict_penalty(&self, program: &Program, candidate: &Candidate, tag: u64) -> f64 {
-        let salt = lossy::mix(self.salt, tag);
-        let mut penalty = 0.0f64;
-        for op in program.ops() {
-            let Some((choice, tensor, layout)) = bank_conflict_context(program, candidate, op)
-            else {
-                continue;
-            };
-            let fp = bank_fingerprint(candidate, op, choice, layout);
-            // Per-op conflict charges are cheap pure computations that touch
-            // no other cache: safe for the compute-under-lock single probe.
-            penalty += lossy::two_tier_probe_or_insert_with(
-                LossyPurpose::BankPenalty,
-                salt,
-                lossy::mix(op.id.index() as u64, fp),
-                &self.bank_cache,
-                (op.id, fp),
-                || bank_conflict_penalty_op(program, op, choice, tensor, layout, self.arch),
-            );
-        }
-        penalty
-    }
-}
-
-/// Fingerprint of everything candidate-dependent the per-operation conflict
-/// charge reads: the instruction choice plus the synthesized layout (base
-/// modes and swizzle) of the shared buffer. The per-thread coverage is
-/// plan-constant per operation, so the operation identity covers it.
-fn bank_fingerprint(
-    candidate: &Candidate,
-    op: &Op,
-    choice: &CopyChoice,
-    layout: &SwizzledLayout,
-) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    op_choice_fingerprint(candidate, op).hash(&mut hasher);
-    choice.vector_dim.hash(&mut hasher);
-    layout.layout().hash(&mut hasher);
-    let swizzle = layout.swizzle();
-    swizzle.bits().hash(&mut hasher);
-    swizzle.base().hash(&mut hasher);
-    swizzle.shift().hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The copy choice, shared tensor and synthesized layout of an operation
-/// that participates in the bank-conflict charge (`None` for every other
-/// operation).
-fn bank_conflict_context<'c>(
-    program: &Program,
-    candidate: &'c Candidate,
-    op: &Op,
-) -> Option<(&'c CopyChoice, TensorId, &'c SwizzledLayout)> {
-    let OpKind::Copy { src, dst } = op.kind else {
-        return None;
-    };
-    let choice = candidate.copy_choices.get(&op.id)?;
-    if matches!(choice.atom.kind, hexcute_arch::CopyKind::LdMatrix { .. }) {
-        // ldmatrix reads whole 16-byte rows; the swizzle selected during
-        // shared-memory synthesis already spreads those rows across the
-        // banks, and its per-thread *fragment* coverage is not the access
-        // pattern, so it is excluded from the conflict charge.
-        return None;
-    }
-    let tensor = if program.tensor(src).space == MemSpace::Shared {
-        src
-    } else if program.tensor(dst).space == MemSpace::Shared {
-        dst
-    } else {
-        return None;
-    };
-    let layout = candidate.smem_layouts.get(&tensor)?;
-    Some((choice, tensor, layout))
-}
-
-/// The conflict charge of one applicable copy operation.
-fn bank_conflict_penalty_op(
-    program: &Program,
-    op: &Op,
-    choice: &CopyChoice,
-    tensor: TensorId,
-    layout: &SwizzledLayout,
-    arch: &GpuArch,
-) -> f64 {
-    let decl = program.tensor(tensor);
-    let accesses: Vec<usize> = (0..32.min(choice.coverage.num_threads()))
-        .map(|t| choice.coverage.map(t, 0))
-        .collect();
-    let degree = bank_conflict_degree(layout, &accesses, decl.dtype.bits(), arch);
-    let reps = if op.in_main_loop {
-        program.main_loop_trip_count
-    } else {
-        1
-    };
-    // Each degree of conflict serializes an extra shared-memory pass.
-    degree as f64 * 2.0 * choice.invocations as f64 * reps as f64
 }
 
 /// Derives the device-level report from the per-block cost breakdown and the
@@ -310,15 +161,6 @@ fn finish_report(
     }
 }
 
-/// Estimates the total latency of a sequence of dependent kernel launches
-/// (e.g. the per-layer kernels of an end-to-end decode step).
-pub fn estimate_sequence(launches: &[(&Program, &Candidate)], arch: &GpuArch) -> f64 {
-    launches
-        .iter()
-        .map(|(p, c)| estimate_kernel(p, c, arch).latency_us)
-        .sum()
-}
-
 /// The fraction of peak DRAM bandwidth achievable with the candidate's
 /// global-memory copy instructions, weighted by the bytes each copy moves.
 /// A warp that touches a full 128-byte segment per transaction reaches 1.0;
@@ -369,16 +211,45 @@ pub fn global_memory_efficiency(program: &Program, candidate: &Candidate) -> f64
 }
 
 /// Extra per-block cycles caused by shared-memory bank conflicts under the
-/// candidate's shared-memory layouts and access patterns. The uncached
-/// reference; [`PerfEvaluator`] memoizes the same per-operation charges
-/// across sibling candidates.
+/// candidate's shared-memory layouts and access patterns.
 pub fn bank_conflict_penalty(program: &Program, candidate: &Candidate, arch: &GpuArch) -> f64 {
     let mut penalty = 0.0f64;
     for op in program.ops() {
-        let Some((choice, tensor, layout)) = bank_conflict_context(program, candidate, op) else {
+        let OpKind::Copy { src, dst } = op.kind else {
             continue;
         };
-        penalty += bank_conflict_penalty_op(program, op, choice, tensor, layout, arch);
+        let Some(choice) = candidate.copy_choices.get(&op.id) else {
+            continue;
+        };
+        if matches!(choice.atom.kind, hexcute_arch::CopyKind::LdMatrix { .. }) {
+            // ldmatrix reads whole 16-byte rows; the swizzle selected during
+            // shared-memory synthesis already spreads those rows across the
+            // banks, and its per-thread *fragment* coverage is not the access
+            // pattern, so it is excluded from the conflict charge.
+            continue;
+        }
+        let tensor = if program.tensor(src).space == MemSpace::Shared {
+            src
+        } else if program.tensor(dst).space == MemSpace::Shared {
+            dst
+        } else {
+            continue;
+        };
+        let Some(layout) = candidate.smem_layouts.get(&tensor) else {
+            continue;
+        };
+        let accesses: Vec<usize> = (0..32.min(choice.coverage.num_threads()))
+            .map(|t| choice.coverage.map(t, 0))
+            .collect();
+        let bits = program.tensor(tensor).dtype.bits();
+        let degree = bank_conflict_degree(layout, &accesses, bits, arch);
+        let reps = if op.in_main_loop {
+            program.main_loop_trip_count
+        } else {
+            1
+        };
+        // Each degree of conflict serializes an extra shared-memory pass.
+        penalty += degree as f64 * 2.0 * choice.invocations as f64 * reps as f64;
     }
     penalty
 }

@@ -104,11 +104,6 @@ impl Candidate {
         rows
     }
 
-    /// Total bytes exchanged by inserted rearranges.
-    pub fn rearrange_bytes(&self) -> usize {
-        self.rearranges.iter().map(|r| r.bytes).sum()
-    }
-
     /// Whether any copy fell back to scalar instructions.
     pub fn uses_scalar_fallback(&self) -> bool {
         self.copy_choices
