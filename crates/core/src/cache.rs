@@ -15,9 +15,10 @@
 //! search, pruning, worker counts) deliberately do *not* participate, so
 //! one artifact serves every execution configuration.
 //!
-//! Artifacts are stored as versioned JSON files (`<fingerprint>.json`) under
-//! a cache directory, with a bounded in-memory front that keeps the most
-//! requested artifacts, so their repeat lookups never touch the filesystem:
+//! Artifacts are stored as checksummed binary files (`<fingerprint>.hxa`,
+//! see [`KernelArtifact::to_bytes`]) under a cache directory, with a
+//! bounded in-memory front that keeps the most requested artifacts, so
+//! their repeat lookups never touch the filesystem:
 //! a [`FrequencySketch`] of every lookup decides which artifacts stay (see
 //! [`KernelCache`]). The cache is
 //! defensive: corrupt files, artifacts written by a different
@@ -66,7 +67,7 @@ use hexcute_parallel::cache::CacheStats;
 
 use crate::compiler::{CompiledKernel, CompilerOptions};
 use crate::faults::{FaultInjector, FaultKind};
-use crate::json::{self, JsonError, JsonValue, Reader};
+use crate::json::{JsonError, JsonValue};
 
 /// Version tag written into every artifact file. Bump it whenever the
 /// artifact schema *or* the semantics of any serialized field change: files
@@ -316,10 +317,19 @@ pub struct KernelArtifact {
     pub perf: PerfRecord,
 }
 
-/// Why an artifact file could not be used.
+/// Why an artifact file or an artifact's JSON export could not be used.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArtifactError {
-    /// The file is not valid JSON (truncated, garbage, partial write).
+    /// The artifact file is damaged: not an artifact file at all, truncated,
+    /// a checksum mismatch, a length or value out of bounds, or bytes left
+    /// over after the last field.
+    Corrupt {
+        /// Byte offset of the first damaged field.
+        offset: usize,
+        /// What is wrong there.
+        reason: &'static str,
+    },
+    /// The JSON export is not valid JSON (truncated, garbage).
     Json(JsonError),
     /// The JSON parses but does not match the artifact schema.
     Schema(String),
@@ -333,6 +343,9 @@ pub enum ArtifactError {
 impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ArtifactError::Corrupt { offset, reason } => {
+                write!(f, "corrupt artifact file at byte {offset}: {reason}")
+            }
             ArtifactError::Json(e) => write!(f, "corrupt artifact: {e}"),
             ArtifactError::Schema(msg) => write!(f, "artifact schema mismatch: {msg}"),
             ArtifactError::Version { found } => write!(
@@ -395,127 +408,143 @@ fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
     )
 }
 
-/// A decoded field, or the `Schema` error naming it. `None` means the
-/// member was absent, mistyped, or (for records) had a bad field inside.
-fn required<T>(value: Option<T>, key: &str) -> Result<T, ArtifactError> {
-    value.ok_or_else(|| schema_err(format!("missing or malformed `{key}`")))
+/// The first bytes of every artifact file.
+const MAGIC: [u8; 4] = *b"HXA\0";
+
+/// The extension of artifact files: `<fingerprint>.hxa`.
+const ARTIFACT_EXTENSION: &str = "hxa";
+
+/// The checksum sealing an artifact file. Each little-endian 8-byte word of
+/// `bytes` (the last one zero-padded), then the length, is folded into the
+/// sum by an xor, a multiply by an odd constant and a rotation. Each step
+/// is a bijection of the sum and of the word, so changing any one word
+/// always changes the result, and the length tells a file from its
+/// zero-padded truncation.
+fn checksum(bytes: &[u8]) -> u64 {
+    let fold = |sum: u64, word: u64| {
+        (sum ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut sum = (&mut words).fold(0, |sum, word| {
+        fold(sum, u64::from_le_bytes(word.try_into().expect("8 bytes")))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        sum = fold(sum, u64::from_le_bytes(word));
+    }
+    fold(sum, bytes.len() as u64)
 }
 
-fn read_tv_layout(r: &mut Reader) -> Result<Option<TvLayoutRecord>, JsonError> {
-    let (mut tensor, mut layout) = (None, None);
-    r.read_object(|r, key| {
-        match &*key {
-            "tensor" => tensor = r.read_string()?,
-            "layout" => layout = r.read_string()?,
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok(tensor
-        .zip(layout)
-        .map(|(tensor, layout)| TvLayoutRecord { tensor, layout }))
+/// Writes the fields of an artifact file: integers as little-endian `u64`,
+/// floats as their bits, booleans as one byte, strings and arrays as a
+/// `u64` length followed by their contents.
+struct ByteWriter(Vec<u8>);
+
+impl ByteWriter {
+    fn u64(&mut self, value: u64) {
+        self.0.extend_from_slice(&value.to_le_bytes());
+    }
+
+    fn usize(&mut self, value: usize) {
+        self.u64(value as u64);
+    }
+
+    fn f64(&mut self, value: f64) {
+        self.u64(value.to_bits());
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.0.push(u8::from(value));
+    }
+
+    fn str(&mut self, value: &str) {
+        self.usize(value.len());
+        self.0.extend_from_slice(value.as_bytes());
+    }
 }
 
-fn read_smem_layout(r: &mut Reader) -> Result<Option<SmemLayoutRecord>, JsonError> {
-    let (mut tensor, mut layout) = (None, None);
-    let (mut offset_bytes, mut size_bytes) = (None, None);
-    r.read_object(|r, key| {
-        match &*key {
-            "tensor" => tensor = r.read_string()?,
-            "offset_bytes" => offset_bytes = r.read_usize()?,
-            "size_bytes" => size_bytes = r.read_usize()?,
-            "layout" => layout = r.read_string()?,
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok((|| {
-        Some(SmemLayoutRecord {
-            tensor: tensor?,
-            offset_bytes: offset_bytes?,
-            size_bytes: size_bytes?,
-            layout: layout?,
-        })
-    })())
+/// Reads the fields [`ByteWriter`] wrote, checking each against the bytes
+/// left before it takes or allocates anything.
+struct ByteReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn read_op_cost(r: &mut Reader) -> Result<Option<OpCostRecord>, JsonError> {
-    let (mut issue_cycles, mut stall_cycles, mut completion_cycles) = (None, None, None);
-    r.read_object(|r, key| {
-        match &*key {
-            "issue_cycles" => issue_cycles = r.read_f64()?,
-            "stall_cycles" => stall_cycles = r.read_f64()?,
-            "completion_cycles" => completion_cycles = r.read_f64()?,
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok((|| {
-        Some(OpCostRecord {
-            issue_cycles: issue_cycles?,
-            stall_cycles: stall_cycles?,
-            completion_cycles: completion_cycles?,
-        })
-    })())
-}
+impl<'a> ByteReader<'a> {
+    fn corrupt(offset: usize, reason: &'static str) -> ArtifactError {
+        ArtifactError::Corrupt { offset, reason }
+    }
 
-fn read_cost(r: &mut Reader) -> Result<Option<CostRecord>, JsonError> {
-    let (mut total_cycles, mut prologue_cycles, mut loop_iteration_cycles) = (None, None, None);
-    let (mut epilogue_cycles, mut rearrange_cycles, mut per_op) = (None, None, None);
-    r.read_object(|r, key| {
-        match &*key {
-            "total_cycles" => total_cycles = r.read_f64()?,
-            "prologue_cycles" => prologue_cycles = r.read_f64()?,
-            "loop_iteration_cycles" => loop_iteration_cycles = r.read_f64()?,
-            "epilogue_cycles" => epilogue_cycles = r.read_f64()?,
-            "rearrange_cycles" => rearrange_cycles = r.read_f64()?,
-            "per_op" => per_op = r.read_array(read_op_cost)?,
-            _ => r.skip()?,
+    /// The next `len` bytes.
+    fn take(&mut self, len: u64) -> Result<&'a [u8], ArtifactError> {
+        let left = &self.bytes[self.pos..];
+        match usize::try_from(len).ok().and_then(|len| left.get(..len)) {
+            Some(taken) => {
+                self.pos += taken.len();
+                Ok(taken)
+            }
+            None => Err(Self::corrupt(self.pos, "runs past the end of the file")),
         }
-        Ok(())
-    })?;
-    Ok((|| {
-        Some(CostRecord {
-            total_cycles: total_cycles?,
-            prologue_cycles: prologue_cycles?,
-            loop_iteration_cycles: loop_iteration_cycles?,
-            epilogue_cycles: epilogue_cycles?,
-            rearrange_cycles: rearrange_cycles?,
-            per_op: per_op?,
-        })
-    })())
-}
+    }
 
-fn read_perf(r: &mut Reader) -> Result<Option<PerfRecord>, JsonError> {
-    let (mut latency_us, mut block_cycles, mut dram_us, mut compute_us) = (None, None, None, None);
-    let (mut sm_us, mut waves, mut bank_conflict_cycles) = (None, None, None);
-    let mut launch_overhead_us = None;
-    r.read_object(|r, key| {
-        match &*key {
-            "latency_us" => latency_us = r.read_f64()?,
-            "block_cycles" => block_cycles = r.read_f64()?,
-            "dram_us" => dram_us = r.read_f64()?,
-            "compute_us" => compute_us = r.read_f64()?,
-            "sm_us" => sm_us = r.read_f64()?,
-            "waves" => waves = r.read_usize()?,
-            "bank_conflict_cycles" => bank_conflict_cycles = r.read_f64()?,
-            "launch_overhead_us" => launch_overhead_us = r.read_f64()?,
-            _ => r.skip()?,
+    fn u64(&mut self) -> Result<u64, ArtifactError> {
+        let word = self.take(8)?;
+        Ok(u64::from_le_bytes(word.try_into().expect("8 bytes")))
+    }
+
+    fn usize(&mut self) -> Result<usize, ArtifactError> {
+        let at = self.pos;
+        usize::try_from(self.u64()?).map_err(|_| Self::corrupt(at, "integer too large"))
+    }
+
+    fn f64(&mut self) -> Result<f64, ArtifactError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    fn bool(&mut self) -> Result<bool, ArtifactError> {
+        match self.take(1)? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            _ => Err(Self::corrupt(self.pos - 1, "boolean is neither 0 nor 1")),
         }
-        Ok(())
-    })?;
-    Ok((|| {
-        Some(PerfRecord {
-            latency_us: latency_us?,
-            block_cycles: block_cycles?,
-            dram_us: dram_us?,
-            compute_us: compute_us?,
-            sm_us: sm_us?,
-            waves: waves?,
-            bank_conflict_cycles: bank_conflict_cycles?,
-            launch_overhead_us: launch_overhead_us?,
-        })
-    })())
+    }
+
+    fn string(&mut self) -> Result<String, ArtifactError> {
+        let at = self.pos;
+        let len = self.u64()?;
+        let bytes = self
+            .take(len)
+            .map_err(|_| Self::corrupt(at, "string runs past the end of the file"))?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| Self::corrupt(at, "string is not UTF-8"))
+    }
+
+    /// An array whose items `item` reads. Each item takes at least
+    /// `min_len` bytes, so a count the bytes left cannot hold is an error
+    /// before anything is allocated for it.
+    fn array<T>(
+        &mut self,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, ArtifactError>,
+    ) -> Result<Vec<T>, ArtifactError> {
+        let at = self.pos;
+        let count = self.u64()?;
+        let room = (self.bytes.len() - self.pos) / min_len;
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= room)
+            .ok_or_else(|| Self::corrupt(at, "array runs past the end of the file"))?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
 }
 
 impl KernelArtifact {
@@ -592,86 +621,184 @@ impl KernelArtifact {
         self.perf.latency_us
     }
 
-    /// Serializes the artifact as versioned JSON (the on-disk format),
-    /// streaming every field into one `String`. The bytes are those of
-    /// [`KernelArtifact::to_json_reference`], so members are written in
-    /// the sorted key order of its tree.
-    pub fn to_json(&self) -> String {
-        // Room for the long strings, their escapes (mostly the CUDA
-        // source's `\n`s) and the fixed-size members.
+    /// Serializes the artifact as an artifact file, the cache's on-disk
+    /// format: the magic bytes `HXA\0`, the `version`, then every other
+    /// field in declaration order, and last a checksum of all the bytes
+    /// before it. Integers (the version, counts and lengths included) are
+    /// little-endian `u64`s, floats their IEEE 754 bits, `warp_specialized`
+    /// one byte (0 or 1), a string its byte length and its UTF-8 bytes, and
+    /// an array its length and its items. The checksum folds each
+    /// little-endian 8-byte word (the last one zero-padded), then the
+    /// length, into a `u64` with steps that are bijections of the running
+    /// sum, so any change to one word changes it.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        // Room for the long strings and the rest of a typical artifact.
         let text = self.cuda.len() + self.lowered.iter().map(String::len).sum::<usize>();
-        let mut w = json::Writer::with_capacity(text + text / 8 + 4096);
-        w.object(|o| {
-            o.str("arch", &self.arch)
-                .member("cost", |w| {
-                    let cost = &self.cost;
-                    w.object(|o| {
-                        o.num("epilogue_cycles", cost.epilogue_cycles)
-                            .num("loop_iteration_cycles", cost.loop_iteration_cycles)
-                            .member("per_op", |w| {
-                                w.array(&cost.per_op, |w, op| {
-                                    w.object(|o| {
-                                        o.num("completion_cycles", op.completion_cycles)
-                                            .num("issue_cycles", op.issue_cycles)
-                                            .num("stall_cycles", op.stall_cycles);
-                                    })
-                                })
-                            })
-                            .num("prologue_cycles", cost.prologue_cycles)
-                            .num("rearrange_cycles", cost.rearrange_cycles)
-                            .num("total_cycles", cost.total_cycles);
-                    })
-                })
-                .str("cuda", &self.cuda)
-                .str("fingerprint", &format!("{:016x}", self.fingerprint))
-                .num("grid_blocks", self.grid_blocks as f64)
-                .str("kernel", &self.kernel)
-                .member("lowered", |w| w.array(&self.lowered, |w, line| w.str(line)))
-                .num("main_loop_trip_count", self.main_loop_trip_count as f64)
-                .member("perf", |w| {
-                    let perf = &self.perf;
-                    w.object(|o| {
-                        o.num("bank_conflict_cycles", perf.bank_conflict_cycles)
-                            .num("block_cycles", perf.block_cycles)
-                            .num("compute_us", perf.compute_us)
-                            .num("dram_us", perf.dram_us)
-                            .num("latency_us", perf.latency_us)
-                            .num("launch_overhead_us", perf.launch_overhead_us)
-                            .num("sm_us", perf.sm_us)
-                            .num("waves", perf.waves as f64);
-                    })
-                })
-                .num("pipeline_stages", self.pipeline_stages as f64)
-                .num("registers_per_thread", self.registers_per_thread as f64)
-                .num("smem_bytes", self.smem_bytes as f64)
-                .member("smem_layouts", |w| {
-                    w.array(&self.smem_layouts, |w, l| {
-                        w.object(|o| {
-                            o.str("layout", &l.layout)
-                                .num("offset_bytes", l.offset_bytes as f64)
-                                .num("size_bytes", l.size_bytes as f64)
-                                .str("tensor", &l.tensor);
-                        })
-                    })
-                })
-                .num("threads_per_block", self.threads_per_block as f64)
-                .member("tv_layouts", |w| {
-                    w.array(&self.tv_layouts, |w, l| {
-                        w.object(|o| {
-                            o.str("layout", &l.layout).str("tensor", &l.tensor);
-                        })
-                    })
-                })
-                .num("version", self.version as f64)
-                .member("warp_specialized", |w| w.bool(self.warp_specialized));
-        });
-        w.finish()
+        let mut w = ByteWriter(Vec::with_capacity(text + 4096));
+        w.0.extend_from_slice(&MAGIC);
+        w.usize(self.version);
+        w.u64(self.fingerprint);
+        w.str(&self.kernel);
+        w.str(&self.arch);
+        w.usize(self.threads_per_block);
+        w.usize(self.grid_blocks);
+        w.usize(self.main_loop_trip_count);
+        w.usize(self.pipeline_stages);
+        w.bool(self.warp_specialized);
+        w.usize(self.smem_bytes);
+        w.usize(self.registers_per_thread);
+        w.usize(self.tv_layouts.len());
+        for l in &self.tv_layouts {
+            w.str(&l.tensor);
+            w.str(&l.layout);
+        }
+        w.usize(self.smem_layouts.len());
+        for l in &self.smem_layouts {
+            w.str(&l.tensor);
+            w.usize(l.offset_bytes);
+            w.usize(l.size_bytes);
+            w.str(&l.layout);
+        }
+        w.usize(self.lowered.len());
+        for line in &self.lowered {
+            w.str(line);
+        }
+        w.str(&self.cuda);
+        let cost = &self.cost;
+        for x in [
+            cost.total_cycles,
+            cost.prologue_cycles,
+            cost.loop_iteration_cycles,
+            cost.epilogue_cycles,
+            cost.rearrange_cycles,
+        ] {
+            w.f64(x);
+        }
+        w.usize(cost.per_op.len());
+        for op in &cost.per_op {
+            w.f64(op.issue_cycles);
+            w.f64(op.stall_cycles);
+            w.f64(op.completion_cycles);
+        }
+        let perf = &self.perf;
+        for x in [
+            perf.latency_us,
+            perf.block_cycles,
+            perf.dram_us,
+            perf.compute_us,
+            perf.sm_us,
+        ] {
+            w.f64(x);
+        }
+        w.usize(perf.waves);
+        w.f64(perf.bank_conflict_cycles);
+        w.f64(perf.launch_overhead_us);
+        let sum = checksum(&w.0);
+        w.u64(sum);
+        w.0
     }
 
-    /// The tree-building encoder: assembles the whole artifact as a
-    /// [`JsonValue`], then prints it. It is the test oracle that
-    /// [`KernelArtifact::to_json`] must match byte for byte.
-    pub fn to_json_reference(&self) -> String {
+    /// Reads an artifact file that [`KernelArtifact::to_bytes`] wrote. It
+    /// never panics, and never allocates for a length or count that the
+    /// bytes left cannot hold.
+    ///
+    /// # Errors
+    ///
+    /// In order of precedence: [`ArtifactError::Corrupt`] when the file
+    /// does not start with the magic bytes and a version; [`ArtifactError::Version`]
+    /// when it was written by a different [`ARTIFACT_VERSION`] (nothing
+    /// after the version is read, so a later schema may change all of it);
+    /// and [`ArtifactError::Corrupt`] when the checksum does not match, a
+    /// field runs past the end, a string is not UTF-8, a boolean is neither
+    /// 0 nor 1, or bytes are left over.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let mut r = ByteReader { bytes, pos: 0 };
+        if r.take(MAGIC.len() as u64)? != MAGIC {
+            return Err(ByteReader::corrupt(0, "not an artifact file"));
+        }
+        let version = r.u64()?;
+        if version != ARTIFACT_VERSION as u64 {
+            let found = usize::try_from(version).unwrap_or(usize::MAX);
+            return Err(ArtifactError::Version { found });
+        }
+        let sealed = bytes
+            .len()
+            .checked_sub(8)
+            .filter(|&sealed| sealed >= r.pos)
+            .ok_or_else(|| ByteReader::corrupt(r.pos, "no checksum"))?;
+        let (body, sum) = bytes.split_at(sealed);
+        if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+            return Err(ByteReader::corrupt(sealed, "checksum mismatch"));
+        }
+        r.bytes = body;
+        // Struct fields are read in the order they are written here, which
+        // is the order `to_bytes` writes them in.
+        let artifact = KernelArtifact {
+            version: ARTIFACT_VERSION,
+            fingerprint: r.u64()?,
+            kernel: r.string()?,
+            arch: r.string()?,
+            threads_per_block: r.usize()?,
+            grid_blocks: r.usize()?,
+            main_loop_trip_count: r.usize()?,
+            pipeline_stages: r.usize()?,
+            warp_specialized: r.bool()?,
+            smem_bytes: r.usize()?,
+            registers_per_thread: r.usize()?,
+            tv_layouts: r.array(16, |r| {
+                Ok(TvLayoutRecord {
+                    tensor: r.string()?,
+                    layout: r.string()?,
+                })
+            })?,
+            smem_layouts: r.array(32, |r| {
+                Ok(SmemLayoutRecord {
+                    tensor: r.string()?,
+                    offset_bytes: r.usize()?,
+                    size_bytes: r.usize()?,
+                    layout: r.string()?,
+                })
+            })?,
+            lowered: r.array(8, ByteReader::string)?,
+            cuda: r.string()?,
+            cost: CostRecord {
+                total_cycles: r.f64()?,
+                prologue_cycles: r.f64()?,
+                loop_iteration_cycles: r.f64()?,
+                epilogue_cycles: r.f64()?,
+                rearrange_cycles: r.f64()?,
+                per_op: r.array(24, |r| {
+                    Ok(OpCostRecord {
+                        issue_cycles: r.f64()?,
+                        stall_cycles: r.f64()?,
+                        completion_cycles: r.f64()?,
+                    })
+                })?,
+            },
+            perf: PerfRecord {
+                latency_us: r.f64()?,
+                block_cycles: r.f64()?,
+                dram_us: r.f64()?,
+                compute_us: r.f64()?,
+                sm_us: r.f64()?,
+                waves: r.usize()?,
+                bank_conflict_cycles: r.f64()?,
+                launch_overhead_us: r.f64()?,
+            },
+        };
+        if r.pos != body.len() {
+            return Err(ByteReader::corrupt(r.pos, "bytes after the last field"));
+        }
+        Ok(artifact)
+    }
+
+    /// Serializes the artifact as versioned JSON, the export format:
+    /// assembles the whole artifact as a [`JsonValue`], then prints it, so
+    /// members are written in sorted key order and floats in their
+    /// shortest round-trip form. Non-finite floats print as `null`, which
+    /// [`KernelArtifact::from_json`] rejects; the artifact file
+    /// ([`KernelArtifact::to_bytes`]) keeps every bit.
+    pub fn to_json(&self) -> String {
         let num = JsonValue::Num;
         let layouts = self
             .smem_layouts
@@ -771,93 +898,20 @@ impl KernelArtifact {
         .write()
     }
 
-    /// Parses an artifact file in one pass: each member is read straight
-    /// into its field, with no intermediate [`JsonValue`] tree. Members this
-    /// schema does not know are validated, then skipped. When a key appears
-    /// twice, the last occurrence wins.
+    /// Parses an artifact's JSON export: the whole document into a
+    /// [`JsonValue`], then each field looked up. Members this schema does
+    /// not know are skipped (the parse has validated them), and when a key
+    /// appears twice, the last occurrence wins.
     ///
     /// # Errors
     ///
     /// In order of precedence: [`ArtifactError::Json`] for malformed JSON
     /// anywhere in the text; [`ArtifactError::Schema`] when `version` is
     /// missing or not a non-negative integer; [`ArtifactError::Version`]
-    /// when the file was written by a different schema version; and
+    /// when the document was written by a different schema version; and
     /// [`ArtifactError::Schema`] when any other field is missing or
-    /// mistyped. [`KernelArtifact::from_json_reference`] is the oracle for
-    /// this contract.
+    /// mistyped.
     pub fn from_json(text: &str) -> Result<Self, ArtifactError> {
-        let mut r = Reader::new(text);
-        let mut version = None;
-        let mut fingerprint = None;
-        let (mut kernel, mut arch, mut cuda) = (None, None, None);
-        let (mut threads_per_block, mut grid_blocks) = (None, None);
-        let (mut main_loop_trip_count, mut pipeline_stages) = (None, None);
-        let (mut smem_bytes, mut registers_per_thread) = (None, None);
-        let mut warp_specialized = None;
-        let (mut tv_layouts, mut smem_layouts, mut lowered) = (None, None, None);
-        let (mut cost, mut perf) = (None, None);
-        r.read_object(|r, key| {
-            match &*key {
-                "version" => version = r.read_usize()?,
-                "fingerprint" => {
-                    fingerprint = r
-                        .read_str()?
-                        .and_then(|hex| u64::from_str_radix(&hex, 16).ok())
-                }
-                "kernel" => kernel = r.read_string()?,
-                "arch" => arch = r.read_string()?,
-                "threads_per_block" => threads_per_block = r.read_usize()?,
-                "grid_blocks" => grid_blocks = r.read_usize()?,
-                "main_loop_trip_count" => main_loop_trip_count = r.read_usize()?,
-                "pipeline_stages" => pipeline_stages = r.read_usize()?,
-                "warp_specialized" => warp_specialized = r.read_bool()?,
-                "smem_bytes" => smem_bytes = r.read_usize()?,
-                "registers_per_thread" => registers_per_thread = r.read_usize()?,
-                "tv_layouts" => tv_layouts = r.read_array(read_tv_layout)?,
-                "smem_layouts" => smem_layouts = r.read_array(read_smem_layout)?,
-                "lowered" => lowered = r.read_array(Reader::read_string)?,
-                "cuda" => cuda = r.read_string()?,
-                "cost" => cost = read_cost(r)?,
-                "perf" => perf = read_perf(r)?,
-                _ => r.skip()?,
-            }
-            Ok(())
-        })?;
-        r.finish()?;
-        let version = version.ok_or_else(|| schema_err("missing or non-integral `version`"))?;
-        if version != ARTIFACT_VERSION {
-            return Err(ArtifactError::Version { found: version });
-        }
-        Ok(KernelArtifact {
-            version,
-            fingerprint: required(fingerprint, "fingerprint")?,
-            kernel: required(kernel, "kernel")?,
-            arch: required(arch, "arch")?,
-            threads_per_block: required(threads_per_block, "threads_per_block")?,
-            grid_blocks: required(grid_blocks, "grid_blocks")?,
-            main_loop_trip_count: required(main_loop_trip_count, "main_loop_trip_count")?,
-            pipeline_stages: required(pipeline_stages, "pipeline_stages")?,
-            warp_specialized: required(warp_specialized, "warp_specialized")?,
-            smem_bytes: required(smem_bytes, "smem_bytes")?,
-            registers_per_thread: required(registers_per_thread, "registers_per_thread")?,
-            tv_layouts: required(tv_layouts, "tv_layouts")?,
-            smem_layouts: required(smem_layouts, "smem_layouts")?,
-            lowered: required(lowered, "lowered")?,
-            cuda: required(cuda, "cuda")?,
-            cost: required(cost, "cost")?,
-            perf: required(perf, "perf")?,
-        })
-    }
-
-    /// The tree-walking decoder: parses the whole document into a
-    /// [`JsonValue`], then looks each field up. It is the test oracle that
-    /// [`KernelArtifact::from_json`] must agree with on every input, down
-    /// to the [`ArtifactError`] variant.
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelArtifact::from_json`].
-    pub fn from_json_reference(text: &str) -> Result<Self, ArtifactError> {
         let v = JsonValue::parse(text)?;
         let version = get_usize(&v, "version")?;
         if version != ARTIFACT_VERSION {
@@ -1335,11 +1389,11 @@ pub struct KernelCacheStats {
     pub disk_hits: u64,
     /// Lookups that found no usable artifact file.
     pub disk_misses: u64,
-    /// Files rejected as corrupt (unparsable JSON, schema or fingerprint
-    /// mismatch) and deleted.
+    /// Files rejected as corrupt (damaged bytes or a fingerprint mismatch)
+    /// and quarantined.
     pub corrupt: u64,
-    /// Files rejected for carrying a different [`ARTIFACT_VERSION`] and
-    /// deleted.
+    /// Files rejected for carrying a different [`ARTIFACT_VERSION`], and
+    /// `<fingerprint>.json` files of the earlier JSON file format, deleted.
     pub stale_version: u64,
     /// Artifacts written to disk.
     pub stores: u64,
@@ -1391,6 +1445,21 @@ impl fmt::Display for KernelCacheStats {
             self.breaker_skips
         )
     }
+}
+
+/// Whether `path` names an artifact file, `<fingerprint>.hxa`.
+fn is_artifact_file(path: &Path) -> bool {
+    path.extension().is_some_and(|x| x == ARTIFACT_EXTENSION)
+}
+
+/// Whether `path` names an artifact of the earlier JSON file format:
+/// `<fingerprint>.json`, sixteen hex digits.
+fn is_json_artifact_file(path: &Path) -> bool {
+    path.extension().is_some_and(|x| x == "json")
+        && path
+            .file_stem()
+            .and_then(|stem| stem.to_str())
+            .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
 }
 
 /// A persistent, disk-backed kernel-artifact cache with a bounded in-memory
@@ -1471,7 +1540,7 @@ impl KernelCache {
         self.config
             .dir
             .as_ref()
-            .map(|d| d.join(format!("{fingerprint:016x}.json")))
+            .map(|d| d.join(format!("{fingerprint:016x}.{ARTIFACT_EXTENSION}")))
     }
 
     /// Looks up an artifact: the in-memory front first, then the disk store.
@@ -1512,17 +1581,16 @@ impl KernelCache {
         if let Some(f) = &self.faults {
             f.io_delay();
         }
-        let mut text = String::new();
-        file.read_to_string(&mut text).ok()?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).ok()?;
         let parsed = match &self.faults {
             Some(f) if f.should(FaultKind::DiskReadCorrupt) => {
-                text = f.corrupt_text(&text);
-                KernelArtifact::from_json(&text)
+                KernelArtifact::from_bytes(&f.corrupt_bytes(&bytes))
             }
             Some(f) if f.should(FaultKind::StaleVersion) => Err(ArtifactError::Version {
                 found: ARTIFACT_VERSION + 1,
             }),
-            _ => KernelArtifact::from_json(&text),
+            _ => KernelArtifact::from_bytes(&bytes),
         };
         match parsed {
             Ok(artifact) if artifact.fingerprint == fingerprint => Some(artifact),
@@ -1550,7 +1618,7 @@ impl KernelCache {
 
     /// Moves a defective artifact file aside as `<fingerprint>.quarantined`
     /// so it can never be served again but survives for inspection. Falls
-    /// back to deletion if the rename fails; either way the `.json` name is
+    /// back to deletion if the rename fails; either way the `.hxa` name is
     /// free for the re-synthesized replacement.
     fn quarantine(&self, path: &Path) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -1595,7 +1663,7 @@ impl KernelCache {
         if let Some(f) = &self.faults {
             f.io_delay();
         }
-        let json = artifact.to_json();
+        let bytes = artifact.to_bytes();
         let injected_fail = self
             .faults
             .as_ref()
@@ -1604,10 +1672,10 @@ impl KernelCache {
             // Simulate ENOSPC mid-write: leave a truncated temp file behind,
             // then report failure. The rename never happens, so readers
             // never see the partial content.
-            let _ = std::fs::write(&tmp, &json[..json.len() / 2]);
+            let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
             false
         } else {
-            Self::write_durable(&tmp, json.as_bytes()).is_ok()
+            Self::write_durable(&tmp, &bytes).is_ok()
         };
         if !written {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
@@ -1646,12 +1714,14 @@ impl KernelCache {
     }
 
     /// Enforces the disk-capacity bound by deleting the oldest artifact
-    /// files (by modification time), and sweeps up temp files orphaned by
-    /// crashed writers (a live write is younger than a minute — it is a
-    /// single write + rename — so old stragglers are safe to delete). This
-    /// runs after every store, so it counts artifact files by name and
-    /// stats them only when there are more than the bound; only the debris
-    /// is statted on every run, for its age.
+    /// files (by modification time), deletes the `<fingerprint>.json`
+    /// artifacts of the earlier JSON file format (counted as
+    /// `stale_version`, like any artifact of another schema), and sweeps up
+    /// temp files orphaned by crashed writers (a live write is younger than
+    /// a minute — it is a single write + rename — so old stragglers are safe
+    /// to delete). This runs after every store, so it counts artifact files
+    /// by name and stats them only when there are more than the bound; only
+    /// the debris is statted on every run, for its age.
     fn prune(&self, dir: &Path) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
@@ -1660,8 +1730,12 @@ impl KernelCache {
         let mut artifacts = Vec::new();
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.extension().is_some_and(|x| x == "json") {
+            if is_artifact_file(&path) {
                 artifacts.push(entry);
+            } else if is_json_artifact_file(&path) {
+                if std::fs::remove_file(&path).is_ok() {
+                    self.stale_version.fetch_add(1, Ordering::Relaxed);
+                }
             } else if path
                 .file_name()
                 .and_then(|n| n.to_str())
@@ -1706,7 +1780,7 @@ impl KernelCache {
             .map(|entries| {
                 entries
                     .flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+                    .filter(|e| is_artifact_file(&e.path()))
                     .count()
             })
             .unwrap_or(0)

@@ -433,9 +433,8 @@ impl Compiler {
     /// identical to the serial walk (`parallel_workers: Some(1)`). With the
     /// incremental search on (the default, see [`hexcute_synthesis::prefix`]),
     /// the performance simulator additionally reuses the shared cost model's
-    /// instruction timeline and memoizes per-operation bank-conflict charges
-    /// across sibling candidates — bit-identical to the re-evaluating
-    /// reference, which stays available behind
+    /// instruction timeline instead of re-estimating it — bit-identical to
+    /// the re-evaluating reference, which stays available behind
     /// `SynthesisOptions::incremental = false`.
     ///
     /// # Errors

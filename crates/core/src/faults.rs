@@ -268,16 +268,11 @@ impl FaultInjector {
             .sum()
     }
 
-    /// Corrupts artifact text the way a torn read / bad sector would:
-    /// truncation to half length (an artifact file is one JSON object, so
-    /// the lost closing brace guarantees the result no longer parses).
-    pub fn corrupt_text(&self, text: &str) -> String {
-        let cut = text.len() / 2;
-        let mut cut = cut.min(text.len());
-        while cut > 0 && !text.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        text[..cut].to_string()
+    /// Corrupts an artifact file's bytes the way a torn read / bad sector
+    /// would: truncation to half length (the file ends in a checksum of
+    /// everything before it, so the cut file no longer decodes).
+    pub fn corrupt_bytes(&self, bytes: &[u8]) -> Vec<u8> {
+        bytes[..bytes.len() / 2].to_vec()
     }
 
     /// Sleeps for the schedule's artificial I/O latency (no-op when zero or
@@ -439,12 +434,53 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_text_breaks_json() {
+    fn corrupt_bytes_breaks_an_artifact_file() {
+        use crate::cache::{CostRecord, KernelArtifact, PerfRecord, ARTIFACT_VERSION};
+        let perf = PerfRecord {
+            latency_us: 1.5,
+            block_cycles: 2.0,
+            dram_us: 0.5,
+            compute_us: 0.25,
+            sm_us: 1.0,
+            waves: 1,
+            bank_conflict_cycles: 0.0,
+            launch_overhead_us: 3.0,
+        };
+        let artifact = KernelArtifact {
+            version: ARTIFACT_VERSION,
+            fingerprint: 0xff,
+            kernel: "k".into(),
+            arch: "A100".into(),
+            threads_per_block: 128,
+            grid_blocks: 4,
+            main_loop_trip_count: 2,
+            pipeline_stages: 1,
+            warp_specialized: false,
+            smem_bytes: 0,
+            registers_per_thread: 32,
+            tv_layouts: Vec::new(),
+            smem_layouts: Vec::new(),
+            lowered: vec!["copy".into()],
+            cuda: "__global__ void k() {}".into(),
+            cost: CostRecord {
+                total_cycles: 10.0,
+                prologue_cycles: 1.0,
+                loop_iteration_cycles: 4.0,
+                epilogue_cycles: 1.0,
+                rearrange_cycles: 0.0,
+                per_op: Vec::new(),
+            },
+            perf,
+        };
+        let bytes = artifact.to_bytes();
+        assert_eq!(KernelArtifact::from_bytes(&bytes), Ok(artifact));
         let inj = FaultInjector::new(FaultSpec::default());
-        let json = r#"{"version": 1, "fingerprint": "00000000000000ff"}"#;
-        let corrupted = inj.corrupt_text(json);
-        assert!(corrupted.len() < json.len());
-        assert!(crate::json::JsonValue::parse(&corrupted).is_err());
+        let corrupted = inj.corrupt_bytes(&bytes);
+        assert_eq!(corrupted, bytes[..bytes.len() / 2]);
+        assert!(matches!(
+            KernelArtifact::from_bytes(&corrupted),
+            Err(crate::cache::ArtifactError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! A minimal JSON reader/writer for the kernel-artifact cache.
+//! A minimal JSON reader/writer for the kernel artifacts' export format.
 //!
-//! The build is fully offline (no `serde`), so the persistent cache brings
-//! its own JSON: a small value tree ([`JsonValue`]), a strict recursive
-//! descent parser ([`JsonValue::parse`]) and a deterministic pretty-printer
-//! ([`JsonValue::write`]). The cache reads artifact files without the tree:
-//! the parser's lexer also offers schema-directed reads that hand each
-//! member straight to the artifact decoder and validate, then skip, any
-//! member the decoder does not ask for. It writes them without the tree
-//! too: a streaming writer prints the bytes the pretty-printer would. Two
-//! properties matter for the cache:
+//! The build is fully offline (no `serde`), so the crate brings its own
+//! JSON: a small value tree ([`JsonValue`]), a strict recursive descent
+//! parser ([`JsonValue::parse`]) and a deterministic pretty-printer
+//! ([`JsonValue::write`]). `KernelArtifact::{to_json, from_json}` export
+//! and import artifacts with them; the cache's own files are binary
+//! (`KernelArtifact::to_bytes`). Two properties matter for the export:
 //!
 //! * **Bit-exact float round-trips.** Numbers are written with Rust's
 //!   shortest-round-trip `Display` for `f64`, so `parse(write(v)) == v`
-//!   bit-for-bit for every finite value — a cache hit reproduces the exact
-//!   cost and latency numbers of the synthesis that produced it.
+//!   bit-for-bit for every finite value — an exported artifact keeps the
+//!   exact cost and latency numbers of the synthesis that produced it.
 //! * **Deterministic output.** Objects store their members in a `BTreeMap`,
 //!   so the same artifact always serializes to the same bytes.
 //!
@@ -147,7 +144,9 @@ impl JsonValue {
 
     /// The value as a `usize`, if it is a non-negative integral number.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64().and_then(usize_of)
+        self.as_f64()
+            .filter(|&n| n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64)
+            .map(|n| n as usize)
     }
 
     /// The value as a string slice, if it is a string.
@@ -181,11 +180,6 @@ impl JsonValue {
             _ => None,
         }
     }
-}
-
-/// `n` as a `usize`, if it is a non-negative integral number.
-fn usize_of(n: f64) -> Option<usize> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as usize)
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -235,136 +229,8 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Streams pretty-printed JSON into one `String`: the bytes
-/// [`JsonValue::write`] prints for the same tree, without building the
-/// tree. Object members must come in sorted key order, the order a
-/// [`JsonValue::Obj`] keeps them in.
-pub(crate) struct Writer {
-    out: String,
-    /// Arrays and objects open at the end of `out`.
-    depth: usize,
-}
-
-/// The members of one object being written; see [`Writer::object`].
-pub(crate) struct Members<'w> {
-    writer: &'w mut Writer,
-    /// The key written last (`""` before the first member).
-    last: &'static str,
-}
-
-impl Writer {
-    /// An empty document with room for `capacity` bytes.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Writer {
-            out: String::with_capacity(capacity),
-            depth: 0,
-        }
-    }
-
-    /// The document, ended by a newline as [`JsonValue::write`] ends it.
-    pub(crate) fn finish(mut self) -> String {
-        self.out.push('\n');
-        self.out
-    }
-
-    pub(crate) fn num(&mut self, n: f64) {
-        write_number(&mut self.out, n);
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        write_string(&mut self.out, s);
-    }
-
-    pub(crate) fn bool(&mut self, b: bool) {
-        self.out.push_str(if b { "true" } else { "false" });
-    }
-
-    /// An object whose members `body` writes.
-    pub(crate) fn object(&mut self, body: impl FnOnce(&mut Members<'_>)) {
-        self.out.push('{');
-        self.depth += 1;
-        let mut members = Members {
-            writer: self,
-            last: "",
-        };
-        body(&mut members);
-        let empty = members.last.is_empty();
-        self.close('}', empty);
-    }
-
-    /// An array holding what `item` writes for each of `items`.
-    pub(crate) fn array<T>(
-        &mut self,
-        items: impl IntoIterator<Item = T>,
-        mut item: impl FnMut(&mut Writer, T),
-    ) {
-        self.out.push('[');
-        self.depth += 1;
-        let mut empty = true;
-        for value in items {
-            self.next(empty);
-            empty = false;
-            item(self, value);
-        }
-        self.close(']', empty);
-    }
-
-    /// Starts an element of the innermost array or object on a new line.
-    fn next(&mut self, first: bool) {
-        if !first {
-            self.out.push(',');
-        }
-        self.out.push('\n');
-        push_indent(&mut self.out, self.depth);
-    }
-
-    fn close(&mut self, bracket: char, empty: bool) {
-        self.depth -= 1;
-        if !empty {
-            self.out.push('\n');
-            push_indent(&mut self.out, self.depth);
-        }
-        self.out.push(bracket);
-    }
-}
-
-impl Members<'_> {
-    /// The member `key`, whose value `value` writes. Keys must be
-    /// non-empty and come in sorted order.
-    pub(crate) fn member(
-        &mut self,
-        key: &'static str,
-        value: impl FnOnce(&mut Writer),
-    ) -> &mut Self {
-        debug_assert!(self.last < key, "member `{key}` out of order");
-        self.writer.next(self.last.is_empty());
-        self.last = key;
-        write_string(&mut self.writer.out, key);
-        self.writer.out.push_str(": ");
-        value(self.writer);
-        self
-    }
-
-    pub(crate) fn num(&mut self, key: &'static str, n: f64) -> &mut Self {
-        self.member(key, |w| w.num(n))
-    }
-
-    pub(crate) fn str(&mut self, key: &'static str, s: &str) -> &mut Self {
-        self.member(key, |w| w.str(s))
-    }
-}
-
-/// The one lexer behind both ways of reading JSON: [`JsonValue::parse`]
-/// builds a tree with it, and the schema-directed reads below hand each
-/// value straight to the caller.
-///
-/// A schema-directed read (`read_*`) takes one value. If the value has the
-/// expected type it is returned; a value of any other type is still
-/// validated, then skipped, and reads as `None`. `Err` is always a syntax
-/// error, so a caller that stops at the first `Err` and sorts out the
-/// `None`s only after [`Reader::finish`] accepts exactly the documents
-/// [`JsonValue::parse`] accepts.
-pub(crate) struct Reader<'a> {
+/// The lexer and recursive descent behind [`JsonValue::parse`].
+struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -379,7 +245,7 @@ const MAX_DEPTH: usize = 128;
 
 impl<'a> Reader<'a> {
     /// A reader at the first value of `text`.
-    pub(crate) fn new(text: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         let mut r = Reader {
             text,
             bytes: text.as_bytes(),
@@ -391,98 +257,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Ends the document: only whitespace may follow the last value.
-    pub(crate) fn finish(mut self) -> Result<(), JsonError> {
+    fn finish(mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
             Err(self.err("trailing characters after the document"))
-        }
-    }
-
-    /// Validates and discards one value of any type.
-    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
-        self.value().map(drop)
-    }
-
-    /// A number.
-    pub(crate) fn read_f64(&mut self) -> Result<Option<f64>, JsonError> {
-        self.typed(|b| b == b'-' || b.is_ascii_digit(), Self::number)
-    }
-
-    /// A number that [`JsonValue::as_usize`] accepts.
-    pub(crate) fn read_usize(&mut self) -> Result<Option<usize>, JsonError> {
-        Ok(self.read_f64()?.and_then(usize_of))
-    }
-
-    /// `true` or `false`.
-    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, JsonError> {
-        self.typed(
-            |b| b == b't' || b == b'f',
-            |r| {
-                let value = r.peek() == Some(b't');
-                r.literal(if value { "true" } else { "false" })?;
-                Ok(value)
-            },
-        )
-    }
-
-    /// A string, borrowed from the text when it has no escapes.
-    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
-        self.typed(|b| b == b'"', Self::string)
-    }
-
-    /// An owned string.
-    pub(crate) fn read_string(&mut self) -> Result<Option<String>, JsonError> {
-        Ok(self.read_str()?.map(Cow::into_owned))
-    }
-
-    /// An array whose items `item` reads. `None` when the value is not an
-    /// array or `item` returned `None` for any item; every item is read
-    /// either way.
-    pub(crate) fn read_array<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<Option<T>, JsonError>,
-    ) -> Result<Option<Vec<T>>, JsonError> {
-        if self.peek() != Some(b'[') {
-            self.skip()?;
-            return Ok(None);
-        }
-        let (mut items, mut complete) = (Vec::new(), true);
-        self.elements(|r| {
-            match item(r)? {
-                Some(value) => items.push(value),
-                None => complete = false,
-            }
-            Ok(())
-        })?;
-        Ok(complete.then_some(items))
-    }
-
-    /// An object: `member` gets each key in document order and must read
-    /// exactly one value. A value that is not an object is skipped without
-    /// calling `member`.
-    pub(crate) fn read_object(
-        &mut self,
-        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
-        if self.peek() == Some(b'{') {
-            self.members(member)
-        } else {
-            self.skip()
-        }
-    }
-
-    /// Reads the value with `read` when its first byte passes `first`, and
-    /// skips it otherwise.
-    fn typed<T>(
-        &mut self,
-        first: impl FnOnce(u8) -> bool,
-        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
-    ) -> Result<Option<T>, JsonError> {
-        match self.peek() {
-            Some(b) if first(b) => read(self).map(Some),
-            _ => self.skip().map(|()| None),
         }
     }
 

@@ -33,10 +33,10 @@
 //!
 //! Compilation results can be persisted across processes through the
 //! [`cache`] module: [`Compiler::compile_with_cache`] answers repeat
-//! requests from a versioned JSON-on-disk [`KernelCache`] keyed by a stable
-//! fingerprint of (program, architecture, options), bit-identically to a
-//! fresh synthesis. The serving layer (`hexcute-e2e`) builds its batched
-//! `CompileService` on top of it.
+//! requests from a [`KernelCache`] of versioned, checksummed binary files
+//! keyed by a stable fingerprint of (program, architecture, options),
+//! bit-identically to a fresh synthesis. The serving layer (`hexcute-e2e`)
+//! builds its batched `CompileService` on top of it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

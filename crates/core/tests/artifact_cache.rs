@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use hexcute_arch::GpuArch;
 use hexcute_core::{
     ArtifactSource, Compiler, FaultInjector, FaultKind, FaultSpec, KernelArtifact, KernelCache,
-    KernelCacheConfig, ARTIFACT_VERSION,
+    KernelCacheConfig,
 };
 use hexcute_ir::Program;
 use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
@@ -111,7 +111,7 @@ fn cache_hits_are_bit_identical_to_fresh_synthesis_across_families() {
         assert_eq!(*mem, reference, "{family}: memory hit differs");
 
         // Disk hit through a fresh cache over the same directory (fresh
-        // memory front): the JSON round-trip must also be bit-identical —
+        // memory front): the file round-trip must also be bit-identical —
         // including every f64 in the cost/perf breakdowns.
         let fresh = KernelCache::new(disk_config(&dir));
         let (disk, source) = Compiler::new(arch)
@@ -137,23 +137,30 @@ fn corrupt_artifact_files_are_rejected_and_resynthesized() {
     let path = cache
         .artifact_path(original.fingerprint)
         .expect("disk-backed cache has a path");
-    // Current version but wrong types / missing fields: a schema reject, not
-    // a stale-version one.
-    let wrong_types = format!("{{\"version\": {ARTIFACT_VERSION}, \"fingerprint\": 3}}");
+    // The stored file with one byte flipped: intact magic number and
+    // version, so only the checksum can catch it.
+    let mut flipped = std::fs::read(&path).unwrap();
+    let middle = flipped.len() / 2;
+    flipped[middle] ^= 0x10;
+    let json = original.to_json().into_bytes();
     for garbage in [
-        "not json at all",
-        "{\"version\": ", // truncated
-        wrong_types.as_str(),
-        "",
+        &b"not an artifact at all"[..],
+        b"{\"version\": ", // truncated JSON
+        &json,             // the export format is not the file format
+        b"",
+        b"\xff\xfe\x80 not UTF-8 \xc3\x28",
+        &flipped,
     ] {
         std::fs::write(&path, garbage).unwrap();
-        // A fresh cache (empty memory front) must reject the file, delete
-        // it, and let the compiler re-synthesize.
+        // A fresh cache (empty memory front) must reject the file, set it
+        // aside, and let the compiler re-synthesize.
         let fresh = KernelCache::new(disk_config(&dir));
         let (artifact, source) = compiler.compile_with_cache(&program, &fresh).unwrap();
         assert_eq!(source, ArtifactSource::Synthesized);
         assert_eq!(*artifact, *original, "re-synthesis must be bit-identical");
-        assert!(fresh.stats().corrupt >= 1, "corruption must be counted");
+        let stats = fresh.stats();
+        assert_eq!(stats.corrupt, 1, "corruption must be counted: {stats}");
+        assert_eq!(stats.quarantined, 1, "the file must be set aside: {stats}");
         // The store after re-synthesis replaced the file with a valid one.
         let healed = KernelCache::new(disk_config(&dir));
         let (_, source) = compiler.compile_with_cache(&program, &healed).unwrap();
@@ -171,12 +178,12 @@ fn version_mismatch_is_rejected_and_resynthesized() {
     let (original, _) = compiler.compile_with_cache(&program, &cache).unwrap();
 
     // Rewrite the stored artifact as if a future (or ancient) schema wrote
-    // it: same JSON, different version number.
+    // it: same fields, different version number.
     let path = cache.artifact_path(original.fingerprint).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let needle = format!("\"version\": {ARTIFACT_VERSION}");
-    assert!(text.contains(&needle), "artifact must carry its version");
-    std::fs::write(&path, text.replace(&needle, "\"version\": 999")).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), original.to_bytes());
+    let mut future = (*original).clone();
+    future.version = 999;
+    std::fs::write(&path, future.to_bytes()).unwrap();
 
     let fresh = KernelCache::new(disk_config(&dir));
     let (artifact, source) = compiler.compile_with_cache(&program, &fresh).unwrap();
@@ -185,6 +192,34 @@ fn version_mismatch_is_rejected_and_resynthesized() {
     let stats = fresh.stats();
     assert_eq!(stats.stale_version, 1, "{stats}");
     assert_eq!(stats.corrupt, 0, "{stats}");
+    assert_eq!(stats.quarantined, 0, "version drift is deleted: {stats}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Artifacts of the earlier JSON file format (`<fingerprint>.json`) are
+/// never read; the store after the next synthesis deletes them and counts
+/// them as stale versions. Other files are left alone.
+#[test]
+fn json_artifacts_of_the_old_format_are_swept_by_the_next_store() {
+    let dir = unique_temp_dir("old-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = fp16_gemm(GemmShape::new(128, 128, 128), GemmConfig::default()).unwrap();
+    let compiler = Compiler::new(GpuArch::a100());
+    let artifact = compiler.compile_artifact(&program).unwrap();
+    let old = dir.join(format!("{:016x}.json", artifact.fingerprint));
+    std::fs::write(&old, artifact.to_json()).unwrap();
+    let other = dir.join("notes.json");
+    std::fs::write(&other, "{}").unwrap();
+
+    let cache = KernelCache::new(disk_config(&dir));
+    let (_, source) = compiler.compile_with_cache(&program, &cache).unwrap();
+    assert_eq!(source, ArtifactSource::Synthesized, "a JSON file is no hit");
+    assert!(!old.exists(), "the old-format artifact must be gone");
+    assert!(other.exists(), "a file not named by a fingerprint stays");
+    let stats = cache.stats();
+    assert_eq!(stats.stale_version, 1, "{stats}");
+    assert_eq!((stats.stores, stats.disk_entries), (1, 1), "{stats}");
+    assert_eq!(stats.corrupt + stats.quarantined, 0, "{stats}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -328,9 +363,9 @@ fn reference_artifacts() -> &'static Vec<(&'static str, Program, KernelArtifact)
     })
 }
 
-/// Satellite (b): a crash can leave a truncated JSON file behind. It must be
-/// quarantined (renamed aside, counted) — never served, never fatal — and
-/// the cache must heal itself on the next store.
+/// Satellite (b): a crash can leave a truncated artifact file behind. It
+/// must be quarantined (renamed aside, counted) — never served, never
+/// fatal — and the cache must heal itself on the next store.
 #[test]
 fn truncated_artifact_is_quarantined_and_healed() {
     let dir = unique_temp_dir("truncated");
@@ -341,8 +376,8 @@ fn truncated_artifact_is_quarantined_and_healed() {
 
     // Simulate a crash mid-write: keep only the first half of the file.
     let path = cache.artifact_path(original.fingerprint).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
     let fresh = KernelCache::new(disk_config(&dir));
     let (artifact, source) = compiler.compile_with_cache(&program, &fresh).unwrap();
@@ -491,7 +526,7 @@ proptest::proptest! {
 
         // Every corrupt read was quarantined, and quarantined files are
         // invisible to the cache: re-listing the directory only counts
-        // live `.json` entries.
+        // live `.hxa` entries.
         let stats = fresh.stats();
         proptest::prop_assert_eq!(stats.quarantined, stats.corrupt, "{}", stats);
         std::fs::remove_dir_all(&dir).ok();

@@ -1,32 +1,32 @@
-//! The single-pass artifact decoder against its tree-walking oracle.
+//! The artifact codecs: the binary artifact file the cache stores, and the
+//! JSON export.
 //!
-//! `KernelArtifact::from_json` reads each member straight into its field;
-//! `KernelArtifact::from_json_reference` parses a `JsonValue` tree first and
-//! then looks the fields up. On every document below the two must agree:
-//! both `Ok` with the same `to_json`, or both `Err` with the same
-//! `ArtifactError` variant (and, for `Version`, the same version found).
-//! The variant is what the cache acts on: a `Json` or `Schema` failure
-//! quarantines the file, a `Version` failure deletes it.
+//! `KernelArtifact::to_bytes` writes the cache's `<fingerprint>.hxa` files
+//! and `from_bytes` reads them. The two round-trip every family's artifact
+//! bit for bit, also when its strings hold quotes, backslashes, control and
+//! non-ASCII characters and its floats are `-0.0`, subnormal, huge, NaN
+//! (with payloads) or infinite. A damaged file is always a typed
+//! `ArtifactError`, never a panic: every truncation, every single-byte
+//! substitution, and lengths and counts past the end of the file, which are
+//! rejected before anything is allocated for them. The variant is what the
+//! cache acts on: `Corrupt` quarantines the file, `Version` deletes it.
 //!
-//! The documents are artifacts of all eight workload families and
-//! mutations of them: every truncation of one artifact, single-byte
-//! substitutions, duplicate keys whose first occurrence has the wrong type,
-//! escaped keys, unknown members holding nested values, `-0` and exponent
-//! numbers, and version drift with and without a later syntax error. Each
-//! group also checks that its mutations produce the outcomes they are
-//! meant to, so a mutation that silently stopped applying would show.
-//!
-//! The encoder is held to its oracle the same way: `KernelArtifact::to_json`
-//! streams the artifact into one `String`, `to_json_reference` builds a
-//! `JsonValue` tree and prints it, and the two must be byte-identical for
-//! every family's artifact and for variants of them whose strings hold
-//! quotes, backslashes, control and non-ASCII characters and whose numbers
-//! are `-0.0`, subnormal, huge or not finite.
+//! `KernelArtifact::{to_json, from_json}` are the export format. Their
+//! tests pin the contract the cache's JSON decoder was held to while the
+//! cache stored JSON: every truncation is a `Json` error; a syntax error
+//! anywhere beats version drift, and version drift beats any other schema
+//! error; the last of two duplicate keys wins; escaped keys decode to their
+//! names; unknown members are validated, then skipped; and `-0`, `-0.0`
+//! and exponent spellings read as the numbers they spell. Each group also
+//! checks that its mutations produce the outcomes they are meant to, so a
+//! mutation that silently stopped applying would show.
 //!
 //! The last group checks that `StableHasher::write_debug`, which streams a
 //! `{:?}` rendering into the fingerprint hasher, feeds it exactly the bytes
 //! that formatting to a `String` and hashing that would.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -47,7 +47,42 @@ use hexcute_kernels::mamba::{selective_scan, ScanConfig, ScanShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_kernels::quant_gemm::{w4a16_gemm, QuantGemmConfig, QuantGemmShape};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// The system allocator, recording the largest single allocation each
+/// thread makes, so a test can see what one decode asked for.
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
 
 /// One program of each of the eight workload families, on an architecture
 /// that supports it.
@@ -118,97 +153,494 @@ fn family_programs() -> Vec<(&'static str, Program, GpuArch)> {
     ]
 }
 
-/// The artifact JSON of every family, compiled once per test binary.
-fn artifacts() -> &'static [(&'static str, String)] {
-    static DOCS: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
-    DOCS.get_or_init(|| {
+/// The artifact of every family, compiled once per test binary.
+fn artifacts() -> &'static [(&'static str, KernelArtifact)] {
+    static ARTIFACTS: OnceLock<Vec<(&'static str, KernelArtifact)>> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
         family_programs()
             .into_iter()
             .map(|(family, program, arch)| {
                 let artifact = Compiler::new(arch)
                     .compile_artifact(&program)
                     .unwrap_or_else(|e| panic!("{family}: compilation failed: {e}"));
-                (family, artifact.to_json())
+                (family, artifact)
             })
             .collect()
     })
 }
 
-/// The smallest artifact: the one every truncation is taken of.
-fn smallest() -> &'static str {
+/// The JSON export of every family's artifact.
+fn documents() -> &'static [(&'static str, String)] {
+    static DOCS: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        artifacts()
+            .iter()
+            .map(|(family, artifact)| (*family, artifact.to_json()))
+            .collect()
+    })
+}
+
+/// The artifact whose file is smallest, and that file.
+fn smallest_file() -> (&'static str, &'static KernelArtifact, Vec<u8>) {
     artifacts()
         .iter()
-        .map(|(_, doc)| doc.as_str())
-        .min_by_key(|doc| doc.len())
+        .map(|(family, artifact)| (*family, artifact, artifact.to_bytes()))
+        .min_by_key(|(_, _, bytes)| bytes.len())
         .unwrap()
 }
 
-/// What a decoder made of a document, in a form two decoders can be
-/// compared by: the re-encoded artifact, or the error variant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+// ---------------------------------------------------------------------------
+// The artifact file.
+// ---------------------------------------------------------------------------
+
+/// Strings that exercise every escaping rule of the export and multi-byte
+/// characters.
+const HOSTILE_STRINGS: &[&str] = &[
+    "",
+    "\"quoted\"",
+    "back\\slash\\",
+    "\\\"",
+    "line\nbreak\ttab\rreturn",
+    "\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f} controls",
+    "\u{7f} delete is not a control",
+    "non-ASCII: é ß 中文 🚀 \u{2028}",
+    "🚀\"🚀\\🚀\n",
+];
+
+/// Floats at the edges of the encodings: signed zeros, subnormals, huge
+/// values, NaNs with payloads and both infinities.
+const EDGE_FLOATS: &[f64] = &[
+    0.0,
+    -0.0,
+    5e-324,
+    f64::from_bits(0x000f_ffff_ffff_ffff),
+    f64::MIN_POSITIVE,
+    1e-300,
+    0.1,
+    -1.5e17,
+    1e21,
+    1.7976931348623157e308,
+    -f64::MAX,
+    f64::NAN,
+    f64::from_bits(0x7ff0_0000_0000_0001),
+    f64::from_bits(0xfff8_dead_beef_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Sets every float field of `artifact` to `x`.
+fn set_floats(artifact: &mut KernelArtifact, x: f64) {
+    let cost = &mut artifact.cost;
+    for field in [
+        &mut cost.total_cycles,
+        &mut cost.prologue_cycles,
+        &mut cost.loop_iteration_cycles,
+        &mut cost.epilogue_cycles,
+        &mut cost.rearrange_cycles,
+    ] {
+        *field = x;
+    }
+    for op in &mut cost.per_op {
+        (op.issue_cycles, op.stall_cycles, op.completion_cycles) = (x, -x, x / 3.0);
+    }
+    let perf = &mut artifact.perf;
+    for field in [
+        &mut perf.latency_us,
+        &mut perf.block_cycles,
+        &mut perf.dram_us,
+        &mut perf.compute_us,
+        &mut perf.sm_us,
+        &mut perf.bank_conflict_cycles,
+        &mut perf.launch_overhead_us,
+    ] {
+        *field = x;
+    }
+}
+
+/// Puts `text` into every string field of `artifact`, in front of what
+/// the field held.
+fn set_strings(artifact: &mut KernelArtifact, text: &str) {
+    let prefix = |field: &mut String| field.insert_str(0, text);
+    prefix(&mut artifact.kernel);
+    prefix(&mut artifact.arch);
+    prefix(&mut artifact.cuda);
+    artifact.lowered.iter_mut().for_each(prefix);
+    artifact.lowered.push(text.to_string());
+    for record in &mut artifact.tv_layouts {
+        prefix(&mut record.tensor);
+        prefix(&mut record.layout);
+    }
+    for record in &mut artifact.smem_layouts {
+        prefix(&mut record.tensor);
+        prefix(&mut record.layout);
+    }
+}
+
+/// The bits of every float field of `artifact`, in declaration order.
+fn float_bits(artifact: &KernelArtifact) -> Vec<u64> {
+    let (cost, perf) = (&artifact.cost, &artifact.perf);
+    let mut floats = vec![
+        cost.total_cycles,
+        cost.prologue_cycles,
+        cost.loop_iteration_cycles,
+        cost.epilogue_cycles,
+        cost.rearrange_cycles,
+    ];
+    for op in &cost.per_op {
+        floats.extend([op.issue_cycles, op.stall_cycles, op.completion_cycles]);
+    }
+    floats.extend([
+        perf.latency_us,
+        perf.block_cycles,
+        perf.dram_us,
+        perf.compute_us,
+        perf.sm_us,
+        perf.bank_conflict_cycles,
+        perf.launch_overhead_us,
+    ]);
+    floats.into_iter().map(f64::to_bits).collect()
+}
+
+/// Asserts that `decoded` equals `original` bit for bit: every float has
+/// the same bits (which `==` cannot tell for NaN and `-0.0`) and every
+/// other field is equal.
+fn assert_bit_identical(decoded: &KernelArtifact, original: &KernelArtifact, label: &str) {
+    assert_eq!(float_bits(decoded), float_bits(original), "{label}: floats");
+    let (mut decoded, mut original) = (decoded.clone(), original.clone());
+    set_floats(&mut decoded, 0.0);
+    set_floats(&mut original, 0.0);
+    assert_eq!(decoded, original, "{label}: fields");
+}
+
+/// Seals `body` as an artifact file: appends its checksum, computed by the
+/// definition, one zero-padded 8-byte word at a time and then the length,
+/// each folded in as `(sum ^ word) * 0x9E37_79B9_7F4A_7C15`, rotated left
+/// by 29.
+fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+    let sum = body
+        .chunks(8)
+        .map(|chunk| {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        })
+        .chain([body.len() as u64])
+        .fold(0u64, |sum, word| {
+            (sum ^ word)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(29)
+        });
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+#[test]
+fn artifacts_of_every_family_decode_identically() {
+    assert_eq!(artifacts().len(), 8, "one artifact per workload family");
+    for (family, artifact) in artifacts() {
+        let bytes = artifact.to_bytes();
+        let decoded = KernelArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(&decoded, artifact, "{family}: file round trip");
+        assert_eq!(decoded.to_bytes(), bytes, "{family}: file re-encoding");
+        // The file ends in the checksum of everything before it.
+        assert_eq!(sealed(bytes[..bytes.len() - 8].to_vec()), bytes, "{family}");
+        let json = artifact.to_json();
+        let imported = KernelArtifact::from_json(&json).unwrap();
+        assert_eq!(&imported, artifact, "{family}: JSON round trip");
+        assert_eq!(imported.to_json(), json, "{family}: JSON re-export");
+        println!("{family}: {} B file, {} B JSON", bytes.len(), json.len());
+    }
+}
+
+#[test]
+fn bytes_round_trip_bit_identically_for_every_family() {
+    let mut cases = 0;
+    for (family, artifact) in artifacts() {
+        let mut variants = vec![(family.to_string(), artifact.clone())];
+        for (i, text) in HOSTILE_STRINGS.iter().enumerate() {
+            let mut variant = artifact.clone();
+            set_strings(&mut variant, text);
+            variants.push((format!("{family} string #{i}"), variant));
+        }
+        for &x in EDGE_FLOATS {
+            let mut variant = artifact.clone();
+            set_floats(&mut variant, x);
+            variants.push((format!("{family} float {:#018x}", x.to_bits()), variant));
+        }
+        let mut empty = artifact.clone();
+        empty.tv_layouts.clear();
+        empty.smem_layouts.clear();
+        empty.lowered.clear();
+        empty.cost.per_op.clear();
+        empty.cuda.clear();
+        (empty.grid_blocks, empty.smem_bytes, empty.fingerprint) = (usize::MAX, 0, u64::MAX);
+        empty.warp_specialized = !empty.warp_specialized;
+        variants.push((format!("{family} empty"), empty));
+        for (label, variant) in &variants {
+            let bytes = variant.to_bytes();
+            let decoded = KernelArtifact::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("{label}: decoding failed: {e}"));
+            assert_bit_identical(&decoded, variant, label);
+            assert_eq!(decoded.to_bytes(), bytes, "{label}: re-encoding");
+        }
+        cases += variants.len();
+    }
+    println!("{cases} artifacts round-tripped bit for bit");
+}
+
+/// The string `codes` spell: three in four pick an ASCII character
+/// (quotes, backslashes and controls included), the rest any code point.
+fn text_of(codes: &[u32]) -> String {
+    codes
+        .iter()
+        .map(|&code| match code % 4 {
+            0 => char::from_u32(code / 4).unwrap_or(char::REPLACEMENT_CHARACTER),
+            _ => char::from((code / 4 % 0x80) as u8),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Generated strings and float bit patterns round-trip bit for bit.
+    #[test]
+    fn bytes_round_trip_generated_strings_and_floats(
+        family in 0usize..8,
+        codes in collection::vec(0u32..0x44_0000, 0..24),
+        bits in 0u64..=u64::MAX,
+    ) {
+        let mut artifact = artifacts()[family].1.clone();
+        set_strings(&mut artifact, &text_of(&codes));
+        set_floats(&mut artifact, f64::from_bits(bits));
+        let bytes = artifact.to_bytes();
+        let decoded = KernelArtifact::from_bytes(&bytes);
+        prop_assert!(decoded.is_ok(), "{:?}", decoded.err());
+        let decoded = decoded.unwrap();
+        prop_assert_eq!(float_bits(&decoded), float_bits(&artifact));
+        prop_assert_eq!(decoded.to_bytes(), bytes);
+    }
+}
+
+#[test]
+fn every_truncation_is_a_typed_error() {
+    // The artifact file: every proper prefix of every family's file is
+    // corrupt, wherever it ends (header, field, checksum).
+    for (family, artifact) in artifacts() {
+        let bytes = artifact.to_bytes();
+        for end in 0..bytes.len() {
+            let outcome = KernelArtifact::from_bytes(&bytes[..end]).map(|_| ());
+            assert!(
+                matches!(outcome, Err(ArtifactError::Corrupt { .. })),
+                "{family}: truncated at {end} of {}: {outcome:?}",
+                bytes.len()
+            );
+        }
+    }
+    // The JSON export: every prefix shorter than the document proper is a
+    // syntax error; the ones that only drop trailing whitespace are the
+    // whole artifact.
+    let doc = documents()
+        .iter()
+        .map(|(_, doc)| doc.as_str())
+        .min_by_key(|doc| doc.len())
+        .unwrap();
+    let complete = doc.trim_end().len();
+    let mut tally = BTreeMap::new();
+    for end in (0..doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+        let kind = verdict(&doc[..end], doc).kind();
+        let expected = if end < complete { "json" } else { "same" };
+        assert_eq!(kind, expected, "JSON truncated at {end} of {}", doc.len());
+        *tally.entry(kind).or_insert(0) += 1;
+    }
+    println!("JSON truncations: {tally:?}");
+}
+
+#[test]
+fn single_byte_substitutions_give_typed_errors() {
+    // Every value at every byte of a miniature of the smallest artifact: one
+    // item in each array and the first line of its CUDA source. A wrong
+    // magic number is corrupt at byte 0; a changed version is version
+    // drift, found before the checksum is read; any other change fails the
+    // checksum.
+    let (family, artifact, _) = smallest_file();
+    let mut miniature = artifact.clone();
+    miniature.tv_layouts.truncate(1);
+    miniature.smem_layouts.truncate(1);
+    miniature.lowered.truncate(1);
+    miniature.cost.per_op.truncate(1);
+    miniature.cuda = miniature.cuda.lines().next().unwrap_or("").to_string();
+    let bytes = miniature.to_bytes();
+    let sealed_at = bytes.len() - 8;
+    let mut mutated = bytes.clone();
+    let mut tally = BTreeMap::new();
+    for at in 0..bytes.len() {
+        for value in (0..=255u8).filter(|&value| value != bytes[at]) {
+            mutated[at] = value;
+            let version = u64::from_le_bytes(mutated[4..12].try_into().unwrap());
+            let outcome = KernelArtifact::from_bytes(&mutated).map(|_| ());
+            let expected = match (at, &outcome) {
+                (0..4, Err(ArtifactError::Corrupt { offset: 0, .. })) => "magic",
+                (4..12, Err(ArtifactError::Version { found })) if *found as u64 == version => {
+                    "version"
+                }
+                (12.., Err(ArtifactError::Corrupt { offset, .. })) if *offset == sealed_at => {
+                    "checksum"
+                }
+                _ => panic!("{family}: byte {at} set to {value:#04x}: {outcome:?}"),
+            };
+            *tally.entry(expected).or_insert(0) += 1;
+            mutated[at] = bytes[at];
+        }
+    }
+    println!(
+        "{family} miniature: {} bytes, substitutions {tally:?}",
+        bytes.len()
+    );
+    // Every family: one substitution at every byte, flipping the low bit,
+    // the high bit or all eight in turn.
+    for (family, artifact) in artifacts() {
+        let bytes = artifact.to_bytes();
+        let mut mutated = bytes.clone();
+        for at in 0..bytes.len() {
+            let flip = [0x01, 0x80, 0xff][at % 3];
+            mutated[at] ^= flip;
+            let outcome = KernelArtifact::from_bytes(&mutated).map(|_| ());
+            assert!(
+                matches!(
+                    outcome,
+                    Err(ArtifactError::Corrupt { .. } | ArtifactError::Version { .. })
+                ),
+                "{family}: byte {at} ^ {flip:#04x}: {outcome:?}"
+            );
+            mutated[at] = bytes[at];
+        }
+    }
+}
+
+#[test]
+fn lengths_and_counts_past_the_input_error_without_allocating() {
+    let (family, artifact, bytes) = smallest_file();
+    let body = &bytes[..bytes.len() - 8];
+    // The kernel name's length is the file's first length: after the magic
+    // number, the version and the fingerprint. The first count is the
+    // thread-value layouts', after the name, the architecture, six integers
+    // and the `warp_specialized` byte.
+    let name_at = 4 + 8 + 8;
+    let count_at = name_at + 8 + artifact.kernel.len() + 8 + artifact.arch.len() + 6 * 8 + 1;
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    assert_eq!(word(name_at), artifact.kernel.len() as u64);
+    assert_eq!(word(count_at), artifact.tv_layouts.len() as u64);
+    // Every 8-byte window after the version, set to a length no file of
+    // this size can hold. An array of `n` items reserves `n` records only
+    // after checking that the bytes left hold `n` times the item's smallest
+    // encoding, which is at least a third of its record's size.
+    let mut errors = 0;
+    for at in 12..=body.len() - 8 {
+        for value in [u64::MAX, 1 << 63, u64::from(u32::MAX), body.len() as u64] {
+            let mut mutated = body.to_vec();
+            mutated[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let file = sealed(mutated);
+            LARGEST.set(0);
+            let outcome = KernelArtifact::from_bytes(&file).map(|_| ());
+            let largest = LARGEST.get();
+            assert!(
+                largest <= 3 * file.len(),
+                "{family}: {value:#x} at byte {at} allocated {largest} bytes for a {}-byte file",
+                file.len()
+            );
+            if at == name_at || at == count_at {
+                assert!(
+                    matches!(outcome, Err(ArtifactError::Corrupt { offset, .. }) if offset == at),
+                    "{family}: {value:#x} at byte {at}: {outcome:?}"
+                );
+                // Nothing is allocated before the name.
+                if at == name_at {
+                    assert_eq!(largest, 0, "{family}: {value:#x} as the name's length");
+                }
+            }
+            errors += usize::from(outcome.is_err());
+        }
+    }
+    println!("{family}: {errors} windows rejected");
+}
+
+// ---------------------------------------------------------------------------
+// The JSON export.
+// ---------------------------------------------------------------------------
+
+/// What `from_json` made of a mutated document: the artifact it came from
+/// (`Same`), another artifact (`Changed`), or the error variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Verdict {
-    Ok(String),
+    Same,
+    Changed,
     Json,
     Schema,
     Version(usize),
+    Corrupt,
 }
 
 impl Verdict {
-    fn of(decoded: Result<KernelArtifact, ArtifactError>) -> Self {
-        match decoded {
-            Ok(artifact) => Verdict::Ok(artifact.to_json()),
-            Err(ArtifactError::Json(_)) => Verdict::Json,
-            Err(ArtifactError::Schema(_)) => Verdict::Schema,
-            Err(ArtifactError::Version { found }) => Verdict::Version(found),
-        }
-    }
-
-    /// The verdict without the artifact text, for tallies and messages.
     fn kind(&self) -> &'static str {
         match self {
-            Verdict::Ok(_) => "ok",
+            Verdict::Same => "same",
+            Verdict::Changed => "changed",
             Verdict::Json => "json",
             Verdict::Schema => "schema",
             Verdict::Version(_) => "version",
+            Verdict::Corrupt => "corrupt",
         }
     }
 }
 
-/// Decodes every document both ways and asserts that the two agree on each
-/// (0 disagreements). Returns how many documents ended in each verdict kind.
-fn assert_agreement(group: &str, docs: &[(String, String)]) -> BTreeMap<&'static str, usize> {
-    let mut tally = BTreeMap::new();
-    let mut disagreements = Vec::new();
-    for (label, doc) in docs {
-        let fast = Verdict::of(KernelArtifact::from_json(doc));
-        let reference = Verdict::of(KernelArtifact::from_json_reference(doc));
-        if fast == reference {
-            *tally.entry(fast.kind()).or_insert(0) += 1;
-        } else {
-            disagreements.push(format!(
-                "{label}: from_json {:?} vs reference {:?}",
-                fast.kind(),
-                reference.kind()
-            ));
-        }
+/// `from_json`'s verdict on `doc`, a mutation of the export `original`.
+fn verdict(doc: &str, original: &str) -> Verdict {
+    match KernelArtifact::from_json(doc) {
+        Ok(artifact) if artifact.to_json() == original => Verdict::Same,
+        Ok(_) => Verdict::Changed,
+        Err(ArtifactError::Json(_)) => Verdict::Json,
+        Err(ArtifactError::Schema(_)) => Verdict::Schema,
+        Err(ArtifactError::Version { found }) => Verdict::Version(found),
+        Err(ArtifactError::Corrupt { .. }) => Verdict::Corrupt,
     }
-    assert!(
-        disagreements.is_empty(),
-        "{group}: {} of {} documents disagree; first: {:#?}",
-        disagreements.len(),
-        docs.len(),
-        &disagreements[..disagreements.len().min(8)]
-    );
-    println!(
-        "{group}: {} documents, 0 disagreements, {tally:?}",
-        docs.len()
-    );
+}
+
+/// A labelled mutation of a family's export.
+struct Mutation {
+    label: String,
+    doc: String,
+    original: &'static str,
+}
+
+/// Decodes every mutation and counts the verdicts of each kind.
+fn tally(group: &str, mutations: &[Mutation]) -> BTreeMap<&'static str, usize> {
+    let mut tally = BTreeMap::new();
+    for m in mutations {
+        *tally.entry(verdict(&m.doc, m.original).kind()).or_insert(0) += 1;
+    }
+    println!("{group}: {} documents, {tally:?}", mutations.len());
     tally
 }
 
-/// The verdict kinds a tally saw, in order.
-fn kinds(tally: &BTreeMap<&'static str, usize>) -> Vec<&'static str> {
-    tally.keys().copied().collect()
+/// Asserts that every mutation decodes to `expected`, naming the first
+/// that does not.
+fn assert_all(group: &str, mutations: &[Mutation], expected: &Verdict) {
+    let wrong: Vec<String> = mutations
+        .iter()
+        .filter_map(|m| {
+            let got = verdict(&m.doc, m.original);
+            (got != *expected).then(|| format!("{}: {got:?}", m.label))
+        })
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "{group}: {} of {} documents are not {expected:?}; first: {:#?}",
+        wrong.len(),
+        mutations.len(),
+        &wrong[..wrong.len().min(8)]
+    );
+    println!("{group}: {} documents, all {expected:?}", mutations.len());
 }
 
 /// Byte offsets of every `"key":` in `doc` for the given keys, so a
@@ -277,290 +709,81 @@ const ANY_TYPE: &[&str] = &[
     "{\"k\": \"v\"}",
 ];
 
-/// The `"version": N` member as the artifacts spell it.
+/// The `"version": N` member as the exports spell it.
 fn version_member() -> String {
     format!("\"version\": {ARTIFACT_VERSION}")
 }
 
 #[test]
-fn artifacts_of_every_family_decode_identically() {
-    let docs: Vec<(String, String)> = artifacts()
-        .iter()
-        .map(|(family, doc)| (family.to_string(), doc.clone()))
-        .collect();
-    assert_eq!(docs.len(), 8, "one artifact per workload family");
-    let tally = assert_agreement("families", &docs);
-    assert_eq!(tally.get("ok"), Some(&8), "{tally:?}");
-    // And both equal the artifact they were encoded from.
-    for (family, doc) in &docs {
-        let decoded = KernelArtifact::from_json(doc).unwrap();
-        assert_eq!(&decoded.to_json(), doc, "{family}: round trip");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The streamed encoder against the tree encoder.
-// ---------------------------------------------------------------------------
-
-/// Strings that exercise every escaping rule and multi-byte characters.
-const HOSTILE_STRINGS: &[&str] = &[
-    "",
-    "\"quoted\"",
-    "back\\slash\\",
-    "\\\"",
-    "line\nbreak\ttab\rreturn",
-    "\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f} controls",
-    "\u{7f} delete is not a control",
-    "non-ASCII: é ß 中文 🚀 \u{2028}",
-    "🚀\"🚀\\🚀\n",
-];
-
-/// Floats at the edges of the number printer; the non-finite ones print as
-/// `null`.
-const EDGE_FLOATS: &[f64] = &[
-    0.0,
-    -0.0,
-    5e-324,
-    f64::from_bits(0x000f_ffff_ffff_ffff),
-    f64::MIN_POSITIVE,
-    1e-300,
-    0.1,
-    -1.5e17,
-    1e21,
-    1.7976931348623157e308,
-    -f64::MAX,
-    f64::NAN,
-    f64::INFINITY,
-    f64::NEG_INFINITY,
-];
-
-/// Sets every float field of `artifact` to `x`.
-fn set_floats(artifact: &mut KernelArtifact, x: f64) {
-    let cost = &mut artifact.cost;
-    for field in [
-        &mut cost.total_cycles,
-        &mut cost.prologue_cycles,
-        &mut cost.loop_iteration_cycles,
-        &mut cost.epilogue_cycles,
-        &mut cost.rearrange_cycles,
-    ] {
-        *field = x;
-    }
-    for op in &mut cost.per_op {
-        (op.issue_cycles, op.stall_cycles, op.completion_cycles) = (x, -x, x / 3.0);
-    }
-    let perf = &mut artifact.perf;
-    for field in [
-        &mut perf.latency_us,
-        &mut perf.block_cycles,
-        &mut perf.dram_us,
-        &mut perf.compute_us,
-        &mut perf.sm_us,
-        &mut perf.bank_conflict_cycles,
-        &mut perf.launch_overhead_us,
-    ] {
-        *field = x;
-    }
-}
-
-/// Puts `text` into every string field of `artifact`, in front of what
-/// the field held.
-fn set_strings(artifact: &mut KernelArtifact, text: &str) {
-    let prefix = |field: &mut String| field.insert_str(0, text);
-    prefix(&mut artifact.kernel);
-    prefix(&mut artifact.arch);
-    prefix(&mut artifact.cuda);
-    artifact.lowered.iter_mut().for_each(prefix);
-    artifact.lowered.push(text.to_string());
-    for record in &mut artifact.tv_layouts {
-        prefix(&mut record.tensor);
-        prefix(&mut record.layout);
-    }
-    for record in &mut artifact.smem_layouts {
-        prefix(&mut record.tensor);
-        prefix(&mut record.layout);
-    }
-}
-
-/// Counts the artifacts whose two encodings differ, naming the first.
-fn encoding_disagreements(cases: &[(String, KernelArtifact)]) -> (usize, Option<String>) {
-    let mut bad = cases
-        .iter()
-        .filter(|(_, artifact)| artifact.to_json() != artifact.to_json_reference())
-        .map(|(label, _)| label.clone());
-    let first = bad.next();
-    (first.iter().count() + bad.count(), first)
-}
-
-#[test]
-fn streamed_encoding_is_byte_identical_to_the_tree_encoding() {
-    let mut cases = Vec::new();
-    for (family, doc) in artifacts() {
-        let artifact = KernelArtifact::from_json(doc).unwrap();
-        assert_eq!(&artifact.to_json(), doc, "{family}: the stored encoding");
-        for (i, text) in HOSTILE_STRINGS.iter().enumerate() {
-            let mut variant = artifact.clone();
-            set_strings(&mut variant, text);
-            cases.push((format!("{family} string #{i}"), variant));
-        }
-        for &x in EDGE_FLOATS {
-            let mut variant = artifact.clone();
-            set_floats(&mut variant, x);
-            cases.push((format!("{family} float {x:e}"), variant));
-        }
-        let mut empty = artifact.clone();
-        empty.tv_layouts.clear();
-        empty.smem_layouts.clear();
-        empty.lowered.clear();
-        empty.cost.per_op.clear();
-        (empty.grid_blocks, empty.smem_bytes, empty.fingerprint) = (usize::MAX, 0, u64::MAX);
-        empty.warp_specialized = !empty.warp_specialized;
-        cases.push((format!("{family} empty arrays"), empty));
-        cases.push((family.to_string(), artifact));
-    }
-    let (disagreements, first) = encoding_disagreements(&cases);
-    assert_eq!(disagreements, 0, "first: {first:?}");
-    println!("encoder: {} artifacts, 0 disagreements", cases.len());
-}
-
-/// The string `codes` spell: three in four pick an ASCII character
-/// (quotes, backslashes and controls included), the rest any code point.
-fn text_of(codes: &[u32]) -> String {
-    codes
-        .iter()
-        .map(|&code| match code % 4 {
-            0 => char::from_u32(code / 4).unwrap_or(char::REPLACEMENT_CHARACTER),
-            _ => char::from((code / 4 % 0x80) as u8),
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Generated strings and float bit patterns encode the same both ways.
-    #[test]
-    fn streamed_encoding_matches_on_generated_strings_and_floats(
-        family in 0usize..8,
-        codes in collection::vec(0u32..0x44_0000, 0..24),
-        bits in 0u64..=u64::MAX,
-    ) {
-        let mut artifact = KernelArtifact::from_json(&artifacts()[family].1).unwrap();
-        set_strings(&mut artifact, &text_of(&codes));
-        set_floats(&mut artifact, f64::from_bits(bits));
-        prop_assert_eq!(artifact.to_json(), artifact.to_json_reference());
-    }
-}
-
-#[test]
-fn every_truncation_is_a_json_error_on_both_paths() {
-    let doc = smallest();
-    let complete = doc.trim_end().len();
-    let docs: Vec<(String, String)> = (0..doc.len())
-        .filter(|&end| doc.is_char_boundary(end))
-        .map(|end| (format!("truncated at {end}"), doc[..end].to_string()))
-        .collect();
-    let tally = assert_agreement("truncations", &docs);
-    // Every prefix shorter than the document proper is malformed; the ones
-    // that only drop trailing whitespace are the whole artifact.
-    let proper = (0..complete).filter(|&e| doc.is_char_boundary(e)).count();
-    assert_eq!(tally.get("json"), Some(&proper), "{tally:?}");
-    assert_eq!(tally.get("ok"), Some(&(docs.len() - proper)), "{tally:?}");
-}
-
-#[test]
-fn single_byte_substitutions_agree() {
-    const SUBSTITUTES: &[u8] = b"\"{}[],:0-\\ ntxe.";
-    let mut rng = StdRng::seed_from_u64(0x5eed_dec0de);
-    let mut docs = Vec::new();
-    for (family, doc) in artifacts() {
-        let bytes = doc.as_bytes();
-        // Half the sites anywhere ASCII (mostly string bodies), half on
-        // structure and numbers, where a substitution changes the shape.
-        let anywhere: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii()).collect();
-        let structural: Vec<usize> = (0..bytes.len())
-            .filter(|&i| b"{}[],:\"0123456789-.eE".contains(&bytes[i]))
-            .collect();
-        for pool in [&anywhere, &structural] {
-            for _ in 0..24 {
-                let at = pool[rng.gen_range(0..pool.len())];
-                for &sub in SUBSTITUTES {
-                    if sub == bytes[at] {
-                        continue;
-                    }
-                    let mut mutated = bytes.to_vec();
-                    mutated[at] = sub;
-                    // ASCII for ASCII keeps the text valid UTF-8.
-                    let mutated = String::from_utf8(mutated).unwrap();
-                    docs.push((format!("{family}: byte {at} -> {:?}", sub as char), mutated));
-                }
-            }
-        }
-    }
-    let tally = assert_agreement("substitutions", &docs);
-    for kind in ["ok", "json", "schema"] {
-        assert!(tally.contains_key(kind), "no {kind} verdicts: {tally:?}");
-    }
-}
-
-#[test]
 fn duplicate_keys_let_the_last_occurrence_win() {
-    let mut docs = Vec::new();
+    let mut first_wrong = Vec::new();
     let mut last_wrong = Vec::new();
-    for (family, doc) in artifacts() {
+    for (family, doc) in documents() {
         // A wrong-typed first occurrence, overridden by the real member.
         for (key, at) in key_sites(doc, SCHEMA_KEYS) {
             for wrong in ANY_TYPE {
-                let mutated = format!("{}\"{key}\": {wrong}, {}", &doc[..at], &doc[at..]);
-                docs.push((format!("{family}: {wrong} before `{key}`@{at}"), mutated));
+                first_wrong.push(Mutation {
+                    label: format!("{family}: {wrong} before `{key}`@{at}"),
+                    doc: format!("{}\"{key}\": {wrong}, {}", &doc[..at], &doc[at..]),
+                    original: doc,
+                });
             }
         }
         // A wrong-typed last occurrence of a top-level member.
         let close = doc.rfind('}').unwrap();
         for key in &SCHEMA_KEYS[..17] {
             for wrong in ["null", "[]", "{}", "\"2\"", "1.5"] {
-                let mutated = format!("{}, \"{key}\": {wrong}{}", &doc[..close], &doc[close..]);
-                last_wrong.push((format!("{family}: `{key}` last as {wrong}"), mutated));
+                last_wrong.push(Mutation {
+                    label: format!("{family}: `{key}` last as {wrong}"),
+                    doc: format!("{}, \"{key}\": {wrong}{}", &doc[..close], &doc[close..]),
+                    original: doc,
+                });
             }
         }
     }
-    let tally = assert_agreement("wrong first", &docs);
-    assert_eq!(kinds(&tally), ["ok"], "{tally:?}");
-    let tally = assert_agreement("wrong last", &last_wrong);
+    assert_all("wrong first", &first_wrong, &Verdict::Same);
+    let tally = tally("wrong last", &last_wrong);
     assert!(tally.contains_key("schema"), "{tally:?}");
     assert!(!tally.contains_key("json"), "{tally:?}");
 }
 
 #[test]
 fn escaped_keys_decode_to_their_names() {
-    let mut docs = Vec::new();
+    let mut escaped = Vec::new();
     let mut renamed = Vec::new();
-    for (family, doc) in artifacts() {
+    for (family, doc) in documents() {
         for (key, at) in key_sites(doc, SCHEMA_KEYS) {
             let rest = &doc[at + 1 + key.len()..];
             // `"\u0061rch"` is `"arch"`.
             let first = key.as_bytes()[0];
-            let escaped = format!("{}\"\\u{:04x}{}{rest}", &doc[..at], first, &key[1..]);
-            docs.push((format!("{family}: escaped `{key}`@{at}"), escaped));
+            escaped.push(Mutation {
+                label: format!("{family}: escaped `{key}`@{at}"),
+                doc: format!("{}\"\\u{:04x}{}{rest}", &doc[..at], first, &key[1..]),
+                original: doc,
+            });
             // A non-letter escape in the middle of the key.
             let mid = key.len() / 2;
-            let escaped = format!(
-                "{}\"{}\\u{:04X}{}{rest}",
-                &doc[..at],
-                &key[..mid],
-                key.as_bytes()[mid],
-                &key[mid + 1..]
-            );
-            docs.push((format!("{family}: mid-escaped `{key}`@{at}"), escaped));
+            escaped.push(Mutation {
+                label: format!("{family}: mid-escaped `{key}`@{at}"),
+                doc: format!(
+                    "{}\"{}\\u{:04X}{}{rest}",
+                    &doc[..at],
+                    &key[..mid],
+                    key.as_bytes()[mid],
+                    &key[mid + 1..]
+                ),
+                original: doc,
+            });
             // An escape that decodes to a different name hides the member.
-            let other = format!("{}\"\\u{:04x}{}{rest}", &doc[..at], first ^ 0x20, &key[1..]);
-            renamed.push((format!("{family}: renamed `{key}`@{at}"), other));
+            renamed.push(Mutation {
+                label: format!("{family}: renamed `{key}`@{at}"),
+                doc: format!("{}\"\\u{:04x}{}{rest}", &doc[..at], first ^ 0x20, &key[1..]),
+                original: doc,
+            });
         }
     }
-    let tally = assert_agreement("escaped keys", &docs);
-    assert_eq!(kinds(&tally), ["ok"], "{tally:?}");
-    let tally = assert_agreement("renamed keys", &renamed);
-    assert_eq!(kinds(&tally), ["schema"], "{tally:?}");
+    assert_all("escaped keys", &escaped, &Verdict::Same);
+    assert_all("renamed keys", &renamed, &Verdict::Schema);
 }
 
 #[test]
@@ -588,7 +811,7 @@ fn unknown_members_are_validated_then_skipped() {
     ];
     let mut valid = Vec::new();
     let mut broken = Vec::new();
-    for (family, doc) in artifacts() {
+    for (family, doc) in documents() {
         // Before the first member of the document and of every nested
         // object that starts with a schema key.
         for (_, at) in key_sites(doc, SCHEMA_KEYS) {
@@ -596,31 +819,50 @@ fn unknown_members_are_validated_then_skipped() {
                 continue;
             }
             for (i, value) in valid_values.iter().enumerate() {
-                let mutated = format!("{}\"zz_unknown\": {value}, {}", &doc[..at], &doc[at..]);
-                valid.push((format!("{family}: unknown #{i} @{at}"), mutated));
+                valid.push(Mutation {
+                    label: format!("{family}: unknown #{i} @{at}"),
+                    doc: format!("{}\"zz_unknown\": {value}, {}", &doc[..at], &doc[at..]),
+                    original: doc,
+                });
             }
             for (i, value) in broken_values.iter().enumerate() {
-                let mutated = format!("{}\"zz_unknown\": {value}, {}", &doc[..at], &doc[at..]);
-                broken.push((format!("{family}: broken #{i} @{at}"), mutated));
+                broken.push(Mutation {
+                    label: format!("{family}: broken #{i} @{at}"),
+                    doc: format!("{}\"zz_unknown\": {value}, {}", &doc[..at], &doc[at..]),
+                    original: doc,
+                });
             }
         }
     }
-    let tally = assert_agreement("unknown members", &valid);
-    assert_eq!(kinds(&tally), ["ok"], "{tally:?}");
-    let tally = assert_agreement("broken unknown members", &broken);
-    assert_eq!(kinds(&tally), ["json"], "{tally:?}");
+    assert_all("unknown members", &valid, &Verdict::Same);
+    assert_all("broken unknown members", &broken, &Verdict::Json);
 }
 
 #[test]
 fn negative_zero_and_exponent_numbers_agree() {
     let version = version_member();
-    let mut docs = Vec::new();
-    for (family, doc) in artifacts() {
-        for spelling in [
-            "2e0", "2.0", "0.2e1", "20E-1", "-0", "-0.0", "2.5", "-2", "1e400",
+    let mut spelled = Vec::new();
+    let mut rewritten = Vec::new();
+    for (family, doc) in documents() {
+        // Spellings of the version: the number, not the text, is compared.
+        for (spelling, expected) in [
+            ("2e0", Verdict::Same),
+            ("2.0", Verdict::Same),
+            ("0.2e1", Verdict::Same),
+            ("20E-1", Verdict::Same),
+            ("-0", Verdict::Version(0)),
+            ("-0.0", Verdict::Version(0)),
+            ("2.5", Verdict::Schema),
+            ("-2", Verdict::Schema),
+            ("1e400", Verdict::Schema),
         ] {
             let mutated = doc.replacen(&version, &format!("\"version\": {spelling}"), 1);
-            docs.push((format!("{family}: version {spelling}"), mutated));
+            assert_eq!(
+                verdict(&mutated, doc),
+                expected,
+                "{family}: version {spelling}"
+            );
+            spelled.push(spelling);
         }
         // Rewrite the first number of every numeric member.
         for (key, at) in key_sites(doc, SCHEMA_KEYS) {
@@ -633,15 +875,32 @@ fn negative_zero_and_exponent_numbers_agree() {
                 continue;
             }
             for spelling in ["-0", "-0.0", "0e0", "1E2", "1e+2", "-1e-5", "1e400", "7.0"] {
-                let mutated = format!("{}{spelling}{}", &doc[..value_at], &rest[len..]);
-                docs.push((format!("{family}: `{key}`@{at} = {spelling}"), mutated));
+                rewritten.push(Mutation {
+                    label: format!("{family}: `{key}`@{at} = {spelling}"),
+                    doc: format!("{}{spelling}{}", &doc[..value_at], &rest[len..]),
+                    original: doc,
+                });
             }
         }
     }
-    let tally = assert_agreement("numbers", &docs);
-    for kind in ["ok", "schema", "version"] {
+    assert_eq!(spelled.len(), 9 * 8);
+    let tally = tally("numbers", &rewritten);
+    for kind in ["changed", "schema", "version"] {
         assert!(tally.contains_key(kind), "no {kind} verdicts: {tally:?}");
     }
+    assert!(!tally.contains_key("json"), "{tally:?}");
+    // `-0` keeps its sign in a float field and reads as 0 in an integer
+    // one; an export of `-0.0` floats imports with every sign bit set.
+    let (_, doc) = &documents()[0];
+    let float = doc.replacen("\"total_cycles\": ", "\"total_cycles\": -0, \"zz\": ", 1);
+    let imported = KernelArtifact::from_json(&float).unwrap();
+    assert_eq!(imported.cost.total_cycles.to_bits(), (-0.0f64).to_bits());
+    let integer = doc.replacen("\"smem_bytes\": ", "\"smem_bytes\": -0, \"zz\": ", 1);
+    assert_eq!(KernelArtifact::from_json(&integer).unwrap().smem_bytes, 0);
+    let mut negative_zeros = artifacts()[0].1.clone();
+    set_floats(&mut negative_zeros, -0.0);
+    let imported = KernelArtifact::from_json(&negative_zeros.to_json()).unwrap();
+    assert_eq!(float_bits(&imported), float_bits(&negative_zeros));
 }
 
 #[test]
@@ -651,63 +910,59 @@ fn version_drift_yields_to_syntax_errors_but_not_to_schema_errors() {
     let mut drifted = Vec::new();
     let mut broken = Vec::new();
     let mut missing = Vec::new();
-    for (family, doc) in artifacts() {
+    for (family, doc) in documents() {
+        let mutation = |label: String, mutated: String| Mutation {
+            label: format!("{family}: {label}"),
+            doc: mutated,
+            original: doc,
+        };
         let v3 = doc.replacen(&version, &format!("\"version\": {next}"), 1);
-        drifted.push((format!("{family}: version {next}"), v3.clone()));
+        drifted.push(mutation(format!("version {next}"), v3.clone()));
         // Version drift beats any field problem...
         let no_cuda = v3.replacen("\"cuda\":", "\"not_cuda\":", 1);
-        drifted.push((format!("{family}: version {next}, no cuda"), no_cuda));
+        drifted.push(mutation(format!("version {next}, no cuda"), no_cuda));
         // ...but not a syntax error anywhere after it.
         let close = v3.rfind('}').unwrap();
-        broken.push((
-            format!("{family}: version {next}, truncated"),
+        broken.push(mutation(
+            format!("version {next}, truncated"),
             v3[..close].to_string(),
         ));
-        broken.push((
-            format!("{family}: version {next}, trailing garbage"),
+        broken.push(mutation(
+            format!("version {next}, trailing garbage"),
             format!("{v3}]"),
         ));
-        broken.push((
-            format!("{family}: version {next}, broken unknown member"),
+        broken.push(mutation(
+            format!("version {next}, broken unknown member"),
             format!("{}, \"zz\": [1,]{}", &v3[..close], &v3[close..]),
         ));
         // A missing or non-integral version is a schema error.
-        missing.push((
-            format!("{family}: no version"),
+        missing.push(mutation(
+            "no version".to_string(),
             doc.replacen(&version, "\"not_version\": 2", 1),
         ));
-        missing.push((
-            format!("{family}: string version"),
+        missing.push(mutation(
+            "string version".to_string(),
             doc.replacen(&version, &format!("\"version\": \"{ARTIFACT_VERSION}\""), 1),
         ));
     }
-    let tally = assert_agreement("drifted", &drifted);
-    assert_eq!(kinds(&tally), ["version"], "{tally:?}");
-    let tally = assert_agreement("drifted and broken", &broken);
-    assert_eq!(kinds(&tally), ["json"], "{tally:?}");
-    let tally = assert_agreement("missing version", &missing);
-    assert_eq!(kinds(&tally), ["schema"], "{tally:?}");
+    assert_all("drifted", &drifted, &Verdict::Version(next));
+    assert_all("drifted and broken", &broken, &Verdict::Json);
+    assert_all("missing version", &missing, &Verdict::Schema);
     // Documents that are not artifact objects at all.
     let brackets = "[".repeat(1_000_000);
-    let shapes: Vec<(String, String)> = [
-        "[]",
-        "{}",
-        "2",
-        "\"x\"",
-        "null",
-        " ",
-        "{\"version\": 2}",
-        &brackets,
-    ]
-    .iter()
-    .map(|doc| {
-        (
-            format!("document {:?}", &doc[..doc.len().min(16)]),
-            doc.to_string(),
-        )
-    })
-    .collect();
-    assert_agreement("other shapes", &shapes);
+    for (doc, expected) in [
+        ("[]", Verdict::Schema),
+        ("{}", Verdict::Schema),
+        ("2", Verdict::Schema),
+        ("\"x\"", Verdict::Schema),
+        ("null", Verdict::Schema),
+        (" ", Verdict::Json),
+        ("{\"version\": 2}", Verdict::Schema),
+        (&brackets, Verdict::Json),
+    ] {
+        let shown = &doc[..doc.len().min(16)];
+        assert_eq!(verdict(doc, ""), expected, "document {shown:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -390,8 +390,8 @@ mod tests {
             let reference = estimate_kernel(&program, candidate, &arch);
             let cost = model.estimate(&program, candidate);
             let incremental = evaluator.evaluate(&program, candidate, &cost);
-            // Bit-identical, not approximately equal: the cached per-op
-            // penalties and the shared cost model must not perturb anything.
+            // Bit-identical, not approximately equal: reusing the shared cost
+            // model's breakdown must not perturb anything.
             assert_eq!(
                 reference.latency_us.to_bits(),
                 incremental.latency_us.to_bits()
